@@ -24,8 +24,8 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (DatasetConfig, make_dataset, mix, read_wav, write_tensor,
-                     write_wav)
+from .signal import (DatasetConfig, make_dataset, read_wav, spectral_record,
+                     write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
@@ -180,7 +180,8 @@ def _loss_csv(path: Path, cfg: RunConfig, trace: list) -> None:
 def cmd_train_vel(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
     net = velnet.VelocityNet.create(cfg.seed, feat_n_fft=cfg.n_fft,
-                                    feat_hop=cfg.hop)
+                                    feat_hop=cfg.hop,
+                                    sample_rate_hz=cfg.sample_rate_hz)
     _, trace = velnet.train_velocity(net, _train_dataset(cfg),
                                      _train_config(cfg), _path_params(cfg))
     velnet.save_velnet(out / "velnet.ckpt", net)
@@ -191,7 +192,8 @@ def cmd_train_vel(cfg: RunConfig) -> Path:
 def cmd_train_mr(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
     reg = mrnet.MrRegressor.create(cfg.seed + 17, feat_n_fft=cfg.n_fft,
-                                   feat_hop=cfg.hop)
+                                   feat_hop=cfg.hop,
+                                   sample_rate_hz=cfg.sample_rate_hz)
     _, trace = mrnet.mr_train(reg, _train_dataset(cfg), _train_config(cfg))
     mrnet.save_mrnet(out / "mrnet.ckpt", reg)
     _loss_csv(out / "train_mr_loss.csv", cfg, trace)
@@ -202,6 +204,22 @@ def _load_checkpoints(cfg: RunConfig, ckpt_dir=None):
     ck = Path(ckpt_dir) if ckpt_dir else Path(cfg.output_dir)
     return (velnet.load_velnet(ck / "velnet.ckpt"),
             mrnet.load_mrnet(ck / "mrnet.ckpt"))
+
+
+# Spectral records are built once per waveform, framed for LSD (cfg.n_fft,
+# cfg.hop), and live for one item. mrnet and velnet reuse them when their
+# checkpoints use the same framing, and recompute otherwise.
+
+def _scored_record(cfg: RunConfig, w):
+    """Record of an estimate or reference: serves both LSD and SIM."""
+    return spectral_record(w, cfg.n_fft, cfg.hop, keep_db=True)
+
+
+def _item_records(cfg: RunConfig, item):
+    """Records of an item's mixture, enrollment and target."""
+    return (spectral_record(item.x, cfg.n_fft, cfg.hop),
+            spectral_record(item.e, cfg.n_fft, cfg.hop),
+            _scored_record(cfg, item.s1))
 
 
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
@@ -220,25 +238,26 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
 
     rows = []
     for i, item in enumerate(items):
+        x, e, s1 = _item_records(cfg, item)
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
-            "estimated": sampler.regressor_mr(reg),
+            "estimated": sampler.fixed_mr(mrnet.mr_predict(reg, x, e)),
             "random": sampler.fixed_mr(float(rand_taus[i])),
             "tau1": sampler.fixed_mr(1.0),
             "tau0": sampler.fixed_mr(0.0),
         }
         fields = {
             "oracle": sampler.OracleField(item.b, item.s1, pp),
-            "net": sampler.NetField(net, item.e),
+            "net": sampler.NetField(net, e),
         }
         for source_name in ABLATION_SOURCES:
             for field_name in ("oracle", "net"):
                 est, tau_hat, nfe = sampler.extract_adaptive(
                     item.x, item.e, sources[source_name], fields[field_name],
                     policy)
-                report = metrics.evaluate(est, item.x, item.s1, extractor,
-                                          item.tau, tau_hat, nfe,
-                                          cfg.n_fft, cfg.hop)
+                report = metrics.evaluate(_scored_record(cfg, est), item.x,
+                                          s1, extractor, item.tau, tau_hat,
+                                          nfe, cfg.n_fft, cfg.hop)
                 rows.append([str(i), source_name, field_name]
                             + report.csv_row())
     _write_csv(out / "ablation.csv",
@@ -291,25 +310,31 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     net, reg = _load_checkpoints(cfg, ckpt_dir)
     items = _eval_dataset(cfg)
     pp = _path_params(cfg)
+    policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
+                for n in NFE_SWEEP_VALUES]
     extractor = lambda w: mrnet.mr_embed(reg, w)  # noqa: E731
 
-    rows, mean_sdr, mean_lsd, mean_sim = [], [], [], []
-    for max_nfe in NFE_SWEEP_VALUES:
-        policy = sampler.NfePolicy(max_nfe=max_nfe, epsilon=cfg.epsilon)
-        sdrs, lsds, sims = [], [], []
-        for item in items:
-            fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
-                   else sampler.NetField(net, item.e))
-            est, tau_hat, nfe = sampler.extract_adaptive(
-                item.x, item.e, sampler.regressor_mr(reg), fld, policy)
-            sdrs.append(metrics.si_sdr(est, item.s1))
-            lsds.append(metrics.lsd(est, item.s1, cfg.n_fft, cfg.hop))
-            sims.append(metrics.sim(est, item.s1, extractor))
-        mean_sdr.append(float(np.mean(sdrs)))
-        mean_lsd.append(float(np.mean(lsds)))
-        mean_sim.append(float(np.mean(sims)))
-        rows.append([str(max_nfe), repr(mean_sdr[-1]), repr(mean_lsd[-1]),
-                     repr(mean_sim[-1])])
+    # per max_nfe, the scores of every item, in item order
+    per_nfe = [[] for _ in NFE_SWEEP_VALUES]
+    for item in items:
+        x, e, s1 = _item_records(cfg, item)
+        fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
+               else sampler.NetField(net, e))
+        source = sampler.fixed_mr(mrnet.mr_predict(reg, x, e))
+        for policy, scored in zip(policies, per_nfe):
+            est, _, _ = sampler.extract_adaptive(item.x, item.e, source, fld,
+                                                 policy)
+            scored.append(metrics.scores(_scored_record(cfg, est), item.x, s1,
+                                         extractor, cfg.n_fft, cfg.hop))
+
+    def mean(scored, key):
+        return float(np.mean([sc[key] for sc in scored]))
+
+    mean_sdr = [mean(sc, "si_sdr_db") for sc in per_nfe]
+    mean_lsd = [mean(sc, "lsd_db") for sc in per_nfe]
+    mean_sim = [mean(sc, "sim_cosine") for sc in per_nfe]
+    rows = [[str(n), repr(a), repr(b), repr(c)] for n, a, b, c in
+            zip(NFE_SWEEP_VALUES, mean_sdr, mean_lsd, mean_sim)]
     _write_csv(out / "nfe_sweep.csv",
                ["max_nfe", "mean_si_sdr_db", "mean_lsd_db",
                 "mean_sim_cosine"], rows)
@@ -319,31 +344,43 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     return out
 
 
+def _read_wav_at(path, rate: int):
+    """read_wav, rejecting a file whose sample rate is not `rate`."""
+    w = read_wav(path)
+    if w.sample_rate_hz != rate:
+        raise FileFormatError(f"{path}: sample rate {w.sample_rate_hz} Hz, "
+                              f"but the checkpoints were trained at {rate} Hz")
+    return w
+
+
 def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
                 reference=None, ckpt_dir=None) -> dict:
     """Single-file end-to-end extraction; prints tau_hat and NFE used."""
     net, reg = _load_checkpoints(cfg, ckpt_dir)
-    x = read_wav(in_path)
-    e = read_wav(enroll_path)
-    if x.sample_rate_hz != e.sample_rate_hz:
-        raise FileFormatError("mixture and enrollment sample rates differ")
+    if net.sample_rate_hz != reg.sample_rate_hz:
+        raise FileFormatError("velnet and mrnet checkpoints were trained at "
+                              "different sample rates")
+    x = _read_wav_at(in_path, net.sample_rate_hz)
+    e = _read_wav_at(enroll_path, net.sample_rate_hz)
+    xr = spectral_record(x, cfg.n_fft, cfg.hop)
+    er = spectral_record(e, cfg.n_fft, cfg.hop)
     policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
     est, tau_hat, nfe = sampler.extract_adaptive(
-        x, e, sampler.regressor_mr(reg), sampler.NetField(net, e), policy)
+        x, e, sampler.fixed_mr(mrnet.mr_predict(reg, xr, er)),
+        sampler.NetField(net, er), policy)
     write_wav(out_wav, est)
     result = {"tau_hat": tau_hat, "nfe_used": nfe}
     print(f"tau_hat={tau_hat:.6f} nfe_used={nfe}")
     if reference is not None:
-        ref = read_wav(reference)
+        ref = _read_wav_at(reference, net.sample_rate_hz)
         extractor = lambda w: mrnet.mr_embed(reg, w)  # noqa: E731
-        sdr = metrics.si_sdr(est, ref)
-        imp = sdr - metrics.si_sdr(x, ref)
-        lsd_db = metrics.lsd(est, ref, cfg.n_fft, cfg.hop)
-        sim_c = metrics.sim(est, ref, extractor)
-        result.update(si_sdr_db=sdr, si_sdr_improvement_db=imp,
-                      lsd_db=lsd_db, sim_cosine=sim_c)
-        print(f"si_sdr_db={sdr:.4f} si_sdr_improvement_db={imp:.4f} "
-              f"lsd_db={lsd_db:.4f} sim_cosine={sim_c:.6f}")
+        result.update(metrics.scores(
+            _scored_record(cfg, est), x, _scored_record(cfg, ref), extractor,
+            cfg.n_fft, cfg.hop))
+        print("si_sdr_db={si_sdr_db:.4f} "
+              "si_sdr_improvement_db={si_sdr_improvement_db:.4f} "
+              "lsd_db={lsd_db:.4f} sim_cosine={sim_cosine:.6f}"
+              .format(**result))
     return result
 
 

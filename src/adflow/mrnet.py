@@ -14,9 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DivergenceError, FileFormatError
-from .signal import Waveform, read_tensor_stream, stft, write_tensor_stream
-from .velnet import AdamW, TrainConfig, clip_gradients, lr_for_epoch, \
-    stats_features
+# stft and stats_features are bound here by name so that perfbench's tracer,
+# which rebinds them in every spectral consumer, finds them; spectra come
+# from spectral_record.
+from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
+                     spectral_record, stft, write_tensor_stream)
+from .velnet import (AdamW, TrainConfig, clip_gradients, lr_for_epoch,  # noqa: F401
+                     stats_features)
 
 # Logit bound keeping sigmoid strictly inside (0,1) in float64.
 _LOGIT_CLIP = 30.0
@@ -36,6 +40,7 @@ class MrRegressor:
     head_b2: np.ndarray     # scalar, shape (1,)
     feat_n_fft: int = 256
     feat_hop: int = 64
+    sample_rate_hz: int = DEFAULT_SAMPLE_RATE
 
     def parameters(self) -> list:
         return [self.extract_w, self.extract_b, self.head_w1, self.head_b1,
@@ -43,7 +48,8 @@ class MrRegressor:
 
     @classmethod
     def create(cls, seed: int = 0, embed_dim: int = 64, hidden_dim: int = 256,
-               feat_n_fft: int = 256, feat_hop: int = 64) -> "MrRegressor":
+               feat_n_fft: int = 256, feat_hop: int = 64,
+               sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "MrRegressor":
         rng = np.random.default_rng(seed)
         feat_dim = 3 * (feat_n_fft // 2 + 1) + 1
 
@@ -61,12 +67,21 @@ class MrRegressor:
                    head_b1=0.5 * rng.normal(size=hidden_dim),
                    head_w2=glorot(1, hidden_dim)[0],
                    head_b2=np.zeros(1),
-                   feat_n_fft=feat_n_fft, feat_hop=feat_hop)
+                   feat_n_fft=feat_n_fft, feat_hop=feat_hop,
+                   sample_rate_hz=sample_rate_hz)
 
 
 def _sigmoid(z):
     z = np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP)
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _features(reg: MrRegressor, w) -> np.ndarray:
+    rec = spectral_record(w, reg.feat_n_fft, reg.feat_hop)
+    lin = rec.profile / (np.linalg.norm(rec.profile) + 1e-12)
+    f = rec.stats
+    logp = (f - f.mean()) / (f.std() + 1e-8) / np.sqrt(f.size)
+    return np.concatenate([lin, logp, [np.log(rec.rms + 1e-8)]])
 
 
 def mr_features(reg: MrRegressor, w: Waveform) -> np.ndarray:
@@ -76,17 +91,12 @@ def mr_features(reg: MrRegressor, w: Waveform) -> np.ndarray:
     similarity), standardized log-magnitude stats (spectral shape and noise
     floor), and the overall log level.
     """
-    mag = np.abs(stft(w, reg.feat_n_fft, reg.feat_hop).frames).mean(axis=1)
-    lin = mag / (np.linalg.norm(mag) + 1e-12)
-    f = stats_features(w, reg.feat_n_fft, reg.feat_hop)
-    logp = (f - f.mean()) / (f.std() + 1e-8) / np.sqrt(f.size)
-    rms = np.sqrt(np.mean(w.samples ** 2))
-    return np.concatenate([lin, logp, [np.log(rms + 1e-8)]])
+    return _features(reg, w)
 
 
-def mr_embed(reg: MrRegressor, w: Waveform) -> np.ndarray:
-    """Shared extractor applied to one waveform."""
-    return reg.extract_w @ mr_features(reg, w) + reg.extract_b
+def mr_embed(reg: MrRegressor, w) -> np.ndarray:
+    """Shared extractor applied to one Waveform or its `SpectralRecord`."""
+    return reg.extract_w @ _features(reg, w) + reg.extract_b
 
 
 def _predict_rows(reg: MrRegressor, fx: np.ndarray, fe: np.ndarray):
@@ -99,10 +109,13 @@ def _predict_rows(reg: MrRegressor, fx: np.ndarray, fe: np.ndarray):
     return _sigmoid(logit), (z, h, logit)
 
 
-def mr_predict(reg: MrRegressor, x: Waveform, e: Waveform) -> float:
-    """tau_hat = sigmoid(h([w(x); w(e)])), strictly inside (0,1)."""
-    pred, _ = _predict_rows(reg, mr_features(reg, x)[None, :],
-                            mr_features(reg, e)[None, :])
+def mr_predict(reg: MrRegressor, x, e) -> float:
+    """tau_hat = sigmoid(h([w(x); w(e)])), strictly inside (0,1).
+
+    x and e are Waveforms or their `SpectralRecord`s.
+    """
+    pred, _ = _predict_rows(reg, _features(reg, x)[None, :],
+                            _features(reg, e)[None, :])
     return float(pred[0])
 
 
@@ -168,7 +181,8 @@ def mr_oracle_lsq(x, s1, b) -> float:
 def save_mrnet(path, reg: MrRegressor) -> None:
     header = (f"{_MR_HEADER} embed_dim={reg.extract_b.size} "
               f"hidden_dim={reg.head_b1.size} "
-              f"feat_n_fft={reg.feat_n_fft} feat_hop={reg.feat_hop}\n")
+              f"feat_n_fft={reg.feat_n_fft} feat_hop={reg.feat_hop} "
+              f"sample_rate_hz={reg.sample_rate_hz}\n")
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         for p in reg.parameters():
@@ -176,14 +190,24 @@ def save_mrnet(path, reg: MrRegressor) -> None:
 
 
 def load_mrnet(path) -> MrRegressor:
+    """Read a checkpoint; a malformed one raises FileFormatError.
+
+    Headers written before `sample_rate_hz` existed read as 16 kHz.
+    """
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").strip()
-        if not header.startswith(_MR_HEADER):
-            raise FileFormatError(f"{path}: not an MR-regressor checkpoint")
-        kv = dict(tok.split("=") for tok in header.split()[2:])
-        tensors = [read_tensor_stream(f) for _ in range(6)]
-    return MrRegressor(extract_w=tensors[0], extract_b=tensors[1],
-                       head_w1=tensors[2], head_b1=tensors[3],
-                       head_w2=tensors[4], head_b2=tensors[5],
-                       feat_n_fft=int(kv["feat_n_fft"]),
-                       feat_hop=int(kv["feat_hop"]))
+        try:
+            header = f.readline().decode("ascii").strip()
+            if not header.startswith(_MR_HEADER):
+                raise FileFormatError(f"{path}: not an MR-regressor checkpoint")
+            kv = dict(tok.split("=") for tok in header.split()[2:])
+            embed, hidden = int(kv["embed_dim"]), int(kv["hidden_dim"])
+            n_fft, hop = int(kv["feat_n_fft"]), int(kv["feat_hop"])
+            rate = int(kv.get("sample_rate_hz", DEFAULT_SAMPLE_RATE))
+        except (ValueError, KeyError) as exc:
+            raise FileFormatError(f"{path}: bad checkpoint header "
+                                  f"({exc!r})") from exc
+        shapes = [(embed, 3 * (n_fft // 2 + 1) + 1), (embed,),
+                  (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
+        tensors = [read_tensor_stream(f, shape) for shape in shapes]
+    return MrRegressor(*tensors, feat_n_fft=n_fft, feat_hop=hop,
+                       sample_rate_hz=rate)

@@ -8,11 +8,14 @@ amplitude ratio between target and background.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FileFormatError, ParameterError, ShapeError
 
@@ -22,6 +25,7 @@ DEFAULT_SAMPLE_RATE = 16000
 WAV_FULL_SCALE = 4.0
 
 _TENSOR_MAGIC = b"ADFT"
+_MAX_TENSOR_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,13 @@ def hann_window(n_fft: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_window(n_fft: int) -> np.ndarray:
+    win = hann_window(n_fft)
+    win.flags.writeable = False
+    return win
+
+
 def _n_frames(n: int, n_fft: int, hop: int) -> int:
     if n <= n_fft:
         return 1
@@ -304,13 +315,54 @@ def stft(w: Waveform, n_fft: int = 256, hop: int = 64) -> Spectrogram:
     if n_fft < 2 * hop:
         raise ParameterError("COLA violation: need n_fft >= 2*hop for Hann")
     x = w.samples
-    win = hann_window(n_fft)
+    win = _cached_window(n_fft)
     nf = _n_frames(x.size, n_fft, hop)
     padded = np.zeros((nf - 1) * hop + n_fft)
     padded[:x.size] = x
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(nf)[:, None]
-    frames = np.fft.rfft(padded[idx] * win, n=n_fft, axis=1).T
+    windowed = sliding_window_view(padded, n_fft)[::hop] * win
+    frames = np.fft.rfft(windowed, n=n_fft, axis=1).T
     return Spectrogram(frames=frames, n_fft=n_fft, hop=hop, window=win)
+
+
+@dataclass(frozen=True)
+class SpectralRecord:
+    """Everything the feature extractors and metrics read from one STFT.
+
+    Built by `spectral_record` from a single magnitude |X| of `wave`. It
+    holds per-band vectors, plus the (bins, frames) dB matrix only when LSD
+    needs it. A record belongs to one item: callers build it, pass it on
+    explicitly and drop it with the item.
+    """
+
+    wave: Waveform
+    n_fft: int
+    hop: int
+    profile: np.ndarray   # mean over frames of |X|, per band
+    stats: np.ndarray     # per-band mean, then std, of log max(|X|, 1e-8)
+    rms: float
+    db: np.ndarray | None = None  # 10*log10(|X| + 1e-8)
+
+
+def spectral_record(w, n_fft: int = 256, hop: int = 64,
+                    keep_db: bool = False) -> SpectralRecord:
+    """One STFT of a waveform, reduced to a `SpectralRecord`.
+
+    `w` may be a record already; it is returned as is when its framing
+    matches and it holds what `keep_db` asks for, and rebuilt from its
+    waveform otherwise.
+    """
+    if isinstance(w, SpectralRecord):
+        if (w.n_fft, w.hop) == (n_fft, hop) and (w.db is not None
+                                                 or not keep_db):
+            return w
+        w = w.wave
+    mag = np.abs(stft(w, n_fft, hop).frames)
+    logm = np.log(np.maximum(mag, 1e-8))
+    return SpectralRecord(
+        wave=w, n_fft=n_fft, hop=hop, profile=mag.mean(axis=1),
+        stats=np.concatenate([logm.mean(axis=1), logm.std(axis=1)]),
+        rms=np.sqrt(np.mean(w.samples ** 2)),
+        db=10.0 * np.log10(mag + 1e-8) if keep_db else None)
 
 
 def istft(s: Spectrogram, out_len: int,
@@ -372,14 +424,27 @@ def write_tensor_stream(f, arr: np.ndarray) -> None:
     f.write(arr.tobytes(order="C"))
 
 
-def read_tensor_stream(f) -> np.ndarray:
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise FileFormatError(f"truncated tensor: expected {n} bytes, "
+                              f"got {len(data)}")
+    return data
+
+
+def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
+    """Read one tensor; with `shape`, its stored dims must equal it."""
     magic = f.read(4)
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
-    (rank,) = struct.unpack("<I", f.read(4))
-    dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-    count = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(f.read(4 * count), dtype="<f4", count=count)
+    (rank,) = struct.unpack("<I", _read_exact(f, 4))
+    if rank > _MAX_TENSOR_RANK:
+        raise FileFormatError(f"tensor rank {rank} exceeds {_MAX_TENSOR_RANK}")
+    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    if shape is not None and dims != tuple(shape):
+        raise FileFormatError(f"tensor shape {dims} != expected {tuple(shape)}")
+    count = math.prod(dims)
+    data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4", count=count)
     return data.reshape(dims).astype(np.float64)
 
 

