@@ -200,26 +200,51 @@ def cmd_train_mr(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_checkpoints(cfg: RunConfig, ckpt_dir=None):
+def _check_rate(what, rate: int, trained: int) -> None:
+    if rate != trained:
+        raise FileFormatError(f"{what}: sample rate {rate} Hz, but the "
+                              f"checkpoints were trained at {trained} Hz")
+
+
+def _load_checkpoints(cfg: RunConfig, ckpt_dir=None, data_rate=None):
+    """Load (velnet, mrnet); both must record one sample rate.
+
+    `data_rate`, the rate of the audio the command will run, must be it too.
+    """
     ck = Path(ckpt_dir) if ckpt_dir else Path(cfg.output_dir)
-    return (velnet.load_velnet(ck / "velnet.ckpt"),
-            mrnet.load_mrnet(ck / "mrnet.ckpt"))
+    net = velnet.load_velnet(ck / "velnet.ckpt")
+    reg = mrnet.load_mrnet(ck / "mrnet.ckpt")
+    if net.sample_rate_hz != reg.sample_rate_hz:
+        raise FileFormatError("velnet and mrnet checkpoints were trained at "
+                              "different sample rates")
+    if data_rate is not None:
+        _check_rate("config sample_rate_hz", data_rate, net.sample_rate_hz)
+    return net, reg
 
 
 # Spectral records are built once per waveform, framed for LSD (cfg.n_fft,
 # cfg.hop), and live for one item. mrnet and velnet reuse them when their
 # checkpoints use the same framing, and recompute otherwise.
 
+def _records(cfg: RunConfig, x, e):
+    """Records of a mixture and its enrollment."""
+    return (spectral_record(x, cfg.n_fft, cfg.hop),
+            spectral_record(e, cfg.n_fft, cfg.hop))
+
+
 def _scored_record(cfg: RunConfig, w):
     """Record of an estimate or reference: serves both LSD and SIM."""
     return spectral_record(w, cfg.n_fft, cfg.hop, keep_db=True)
 
 
-def _item_records(cfg: RunConfig, item):
-    """Records of an item's mixture, enrollment and target."""
-    return (spectral_record(item.x, cfg.n_fft, cfg.hop),
-            spectral_record(item.e, cfg.n_fft, cfg.hop),
-            _scored_record(cfg, item.s1))
+def _score(cfg: RunConfig, reg, score, est, x, s1, *report):
+    """`score` (metrics.scores or metrics.evaluate) of `est` vs the record s1.
+
+    SIM compares mrnet embeddings; LSD uses the cfg framing.
+    """
+    return score(_scored_record(cfg, est), x, s1,
+                 lambda w: mrnet.mr_embed(reg, w), *report,
+                 n_fft=cfg.n_fft, hop=cfg.hop)
 
 
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
@@ -228,17 +253,17 @@ ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
 def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     """Table-style grid: five MR sources x {oracle, net} fields."""
     out = _prepare_out(cfg)
-    net, reg = _load_checkpoints(cfg, ckpt_dir)
+    net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg)
     pp = _path_params(cfg)
     policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
     rand_rng = np.random.default_rng(cfg.seed + 4242)
     rand_taus = rand_rng.uniform(size=len(items))
-    extractor = lambda w: mrnet.mr_embed(reg, w)  # noqa: E731
 
     rows = []
     for i, item in enumerate(items):
-        x, e, s1 = _item_records(cfg, item)
+        x, e = _records(cfg, item.x, item.e)
+        s1 = _scored_record(cfg, item.s1)
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
             "estimated": sampler.fixed_mr(mrnet.mr_predict(reg, x, e)),
@@ -255,9 +280,8 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
                 est, tau_hat, nfe = sampler.extract_adaptive(
                     item.x, item.e, sources[source_name], fields[field_name],
                     policy)
-                report = metrics.evaluate(_scored_record(cfg, est), item.x,
-                                          s1, extractor, item.tau, tau_hat,
-                                          nfe, cfg.n_fft, cfg.hop)
+                report = _score(cfg, reg, metrics.evaluate, est, item.x, s1,
+                                item.tau, tau_hat, nfe)
                 rows.append([str(i), source_name, field_name]
                             + report.csv_row())
     _write_csv(out / "ablation.csv",
@@ -307,25 +331,24 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     if field not in ("net", "oracle"):
         raise ConfigError(f"unknown field {field!r}")
     out = _prepare_out(cfg)
-    net, reg = _load_checkpoints(cfg, ckpt_dir)
+    net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg)
     pp = _path_params(cfg)
     policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
                 for n in NFE_SWEEP_VALUES]
-    extractor = lambda w: mrnet.mr_embed(reg, w)  # noqa: E731
 
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
     for item in items:
-        x, e, s1 = _item_records(cfg, item)
+        x, e = _records(cfg, item.x, item.e)
+        s1 = _scored_record(cfg, item.s1)
         fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
                else sampler.NetField(net, e))
         source = sampler.fixed_mr(mrnet.mr_predict(reg, x, e))
         for policy, scored in zip(policies, per_nfe):
             est, _, _ = sampler.extract_adaptive(item.x, item.e, source, fld,
                                                  policy)
-            scored.append(metrics.scores(_scored_record(cfg, est), item.x, s1,
-                                         extractor, cfg.n_fft, cfg.hop))
+            scored.append(_score(cfg, reg, metrics.scores, est, item.x, s1))
 
     def mean(scored, key):
         return float(np.mean([sc[key] for sc in scored]))
@@ -347,9 +370,7 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
 def _read_wav_at(path, rate: int):
     """read_wav, rejecting a file whose sample rate is not `rate`."""
     w = read_wav(path)
-    if w.sample_rate_hz != rate:
-        raise FileFormatError(f"{path}: sample rate {w.sample_rate_hz} Hz, "
-                              f"but the checkpoints were trained at {rate} Hz")
+    _check_rate(path, w.sample_rate_hz, rate)
     return w
 
 
@@ -357,13 +378,9 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
                 reference=None, ckpt_dir=None) -> dict:
     """Single-file end-to-end extraction; prints tau_hat and NFE used."""
     net, reg = _load_checkpoints(cfg, ckpt_dir)
-    if net.sample_rate_hz != reg.sample_rate_hz:
-        raise FileFormatError("velnet and mrnet checkpoints were trained at "
-                              "different sample rates")
     x = _read_wav_at(in_path, net.sample_rate_hz)
     e = _read_wav_at(enroll_path, net.sample_rate_hz)
-    xr = spectral_record(x, cfg.n_fft, cfg.hop)
-    er = spectral_record(e, cfg.n_fft, cfg.hop)
+    xr, er = _records(cfg, x, e)
     policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
     est, tau_hat, nfe = sampler.extract_adaptive(
         x, e, sampler.fixed_mr(mrnet.mr_predict(reg, xr, er)),
@@ -373,10 +390,8 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     print(f"tau_hat={tau_hat:.6f} nfe_used={nfe}")
     if reference is not None:
         ref = _read_wav_at(reference, net.sample_rate_hz)
-        extractor = lambda w: mrnet.mr_embed(reg, w)  # noqa: E731
-        result.update(metrics.scores(
-            _scored_record(cfg, est), x, _scored_record(cfg, ref), extractor,
-            cfg.n_fft, cfg.hop))
+        result.update(_score(cfg, reg, metrics.scores, est, x,
+                             _scored_record(cfg, ref)))
         print("si_sdr_db={si_sdr_db:.4f} "
               "si_sdr_improvement_db={si_sdr_improvement_db:.4f} "
               "lsd_db={lsd_db:.4f} sim_cosine={sim_cosine:.6f}"

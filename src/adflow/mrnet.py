@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergenceError, FileFormatError
-# stft and stats_features are bound here by name so that perfbench's tracer,
-# which rebinds them in every spectral consumer, finds them; spectra come
-# from spectral_record.
+from .errors import DegenerateInputError, FileFormatError
+# stft, stats_features, AdamW and clip_gradients are bound here by name only
+# so that perfbench's tracer, which rebinds them in this module, finds them:
+# spectra come from spectral_record and training runs in velnet.fit.
 from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
                      spectral_record, stft, write_tensor_stream)
-from .velnet import (AdamW, TrainConfig, clip_gradients, lr_for_epoch,  # noqa: F401
+from .velnet import (AdamW, TrainConfig, clip_gradients, fit,  # noqa: F401
                      stats_features)
 
 # Logit bound keeping sigmoid strictly inside (0,1) in float64.
@@ -144,23 +144,9 @@ def mr_train(reg: MrRegressor, dataset: list, config: TrainConfig):
     fx = np.stack([mr_features(reg, item.x) for item in dataset])
     fe = np.stack([mr_features(reg, item.e) for item in dataset])
     taus = np.array([item.tau for item in dataset])
-    rng = np.random.default_rng(config.seed)
-    params = reg.parameters()
-    opt = AdamW(params, weight_decay=config.weight_decay)
-    trace = []
-    for epoch in range(config.epochs):
-        lr = lr_for_epoch(config, epoch)
-        order = rng.permutation(len(dataset))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, grads = _loss_and_grad(reg, fx[idx], fe[idx], taus[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grads, _ = clip_gradients(grads, config.grad_clip)
-            opt.step(params, grads, lr)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
+    trace = fit(reg.parameters(), len(dataset), config,
+                lambda idx, rng: _loss_and_grad(reg, fx[idx], fe[idx],
+                                                taus[idx]))
     return reg, trace
 
 

@@ -46,32 +46,24 @@ class Schedule:
 class NfePolicy:
     max_nfe: int = 5
     epsilon: float = 1e-3
-    mode: str = "adaptive"
 
     def __post_init__(self):
         if self.max_nfe < 1:
             raise ParameterError("max_nfe must be >= 1")
         if not 0.0 < self.epsilon < 0.1:
             raise ParameterError("epsilon must lie in (0, 0.1)")
-        if self.mode not in ("adaptive", "fixed"):
-            raise ParameterError(f"unknown mode: {self.mode!r}")
 
 
 def build_schedule(tau_hat: float, policy: NfePolicy) -> Schedule:
     """N = max(1, ceil((1 - tau_hat) * max_nfe)) uniform steps on [tau_hat, 1].
 
-    Adaptive mode returns an empty schedule when tau_hat >= 1 - epsilon;
-    fixed mode always uses max_nfe steps (same passthrough guard at tau_hat
-    ~= 1, where no strictly increasing grid exists).
+    The schedule is empty (passthrough) when tau_hat >= 1 - epsilon.
     """
     if not 0.0 <= tau_hat <= 1.0:
         raise ParameterError("tau_hat must lie in [0, 1]")
     if tau_hat >= 1.0 - policy.epsilon:
         return Schedule(taus=np.zeros(0), nfe=0)
-    if policy.mode == "fixed":
-        n = policy.max_nfe
-    else:
-        n = max(1, int(np.ceil((1.0 - tau_hat) * policy.max_nfe)))
+    n = max(1, int(np.ceil((1.0 - tau_hat) * policy.max_nfe)))
     return Schedule(taus=np.linspace(tau_hat, 1.0, n + 1), nfe=n)
 
 
@@ -135,12 +127,6 @@ def oracle_mr(s1: Waveform, b: Waveform):
 
 def regressor_mr(reg: mrnet.MrRegressor):
     return lambda x, e: mrnet.mr_predict(reg, x, e)
-
-
-def random_mr(seed: int):
-    """tau_hat ~ U[0,1]; reproducible under seed, advances per call."""
-    rng = np.random.default_rng(seed)
-    return lambda x, e: float(rng.uniform())
 
 
 def fixed_mr(tau: float):

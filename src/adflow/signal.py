@@ -433,7 +433,8 @@ def _read_exact(f, n: int) -> bytes:
 
 
 def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
-    """Read one tensor; with `shape`, its stored dims must equal it."""
+    """Read one tensor; its stored dims must fit the bytes left in `f` and,
+    with `shape`, equal it."""
     magic = f.read(4)
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
@@ -444,6 +445,12 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and dims != tuple(shape):
         raise FileFormatError(f"tensor shape {dims} != expected {tuple(shape)}")
     count = math.prod(dims)
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if 4 * count > left:
+        raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
+                              f"but only {left} are left")
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4", count=count)
     return data.reshape(dims).astype(np.float64)
 

@@ -17,7 +17,7 @@ from . import flowpath
 from .errors import DivergenceError, FileFormatError, ParameterError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
-from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
+from .signal import (DEFAULT_SAMPLE_RATE, read_tensor_stream,  # noqa: F401
                      spectral_record, stft, write_tensor_stream)
 
 DEFAULT_FRAME_LEN = 64
@@ -182,19 +182,6 @@ def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
     return rows
 
 
-def vel_forward(net: VelocityNet, x_frame_context: np.ndarray,
-                e_embed: np.ndarray, tau: float) -> np.ndarray:
-    """Single-frame forward pass; x_frame_context is [prev|cur|next]."""
-    x_frame_context = np.asarray(x_frame_context, dtype=np.float64)
-    e_embed = np.asarray(e_embed, dtype=np.float64)
-    row = np.concatenate([x_frame_context, e_embed,
-                          embed_tau(tau, net.tau_embed_dim)])
-    if row.size != net.input_dim:
-        raise ShapeError(f"input dim {row.size} != expected {net.input_dim}")
-    out, _ = _forward(net, row[None, :])
-    return out[0]
-
-
 def velocity_signal(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
                     tau: float) -> np.ndarray:
     """Evaluate the field on a whole signal: frame, forward, re-assemble."""
@@ -311,43 +298,58 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
-                   path_params: flowpath.PathParams | None = None):
-    """Train the velocity field on MixtureItems; returns (net, loss_trace).
+def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
+    """The training loop shared by velnet and mrnet; returns the loss trace.
 
-    Per step a fresh tau ~ U[0,1] is drawn per item and the path state is
-    re-sampled; the regression target is the closed-form velocity.
-    Fully deterministic under config.seed.
+    Each epoch shuffles the items and takes one AdamW step per mini-batch
+    at the epoch's learning rate, after global-norm clipping.
+    `loss_and_grad(idx, rng)` returns (loss, grads ordered like `params`)
+    for the items `idx` and may draw from `rng`. The trace holds the mean
+    batch loss per epoch. Fully deterministic under config.seed.
     """
-    pp = path_params or flowpath.PathParams()
     rng = np.random.default_rng(config.seed)
-    e_embeds = [embed_enrollment(item.e, net) for item in dataset]
-    params = net.parameters()
     opt = AdamW(params, weight_decay=config.weight_decay)
     trace = []
     for epoch in range(config.epochs):
         lr = lr_for_epoch(config, epoch)
-        order = rng.permutation(len(dataset))
+        order = rng.permutation(n_items)
         losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = []
-            for j in order[start:start + config.batch_size]:
-                item = dataset[j]
-                tau = float(rng.uniform())
-                state = flowpath.sample_path_state(
-                    item.b.samples, item.s1.samples, tau, pp,
-                    seed=int(rng.integers(0, 2 ** 31)))
-                u = flowpath.target_velocity(state, item.b.samples,
-                                             item.s1.samples, pp)
-                batch.append((state.x, e_embeds[j], tau, u))
-            loss, grads = otcfm_loss_and_grad(net, batch)
+        for start in range(0, n_items, config.batch_size):
+            loss, grads = loss_and_grad(order[start:start + config.batch_size],
+                                        rng)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grads, _ = clip_gradients(grads, config.grad_clip)
             opt.step(params, grads, lr)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
-    return net, trace
+    return trace
+
+
+def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
+                   path_params: flowpath.PathParams | None = None):
+    """Train the velocity field on MixtureItems; returns (net, loss_trace).
+
+    Per step a fresh tau ~ U[0,1] is drawn per item and the path state is
+    re-sampled; the regression target is the closed-form velocity.
+    """
+    pp = path_params or flowpath.PathParams()
+    e_embeds = [embed_enrollment(item.e, net) for item in dataset]
+
+    def loss_and_grad(idx, rng):
+        batch = []
+        for j in idx:
+            item = dataset[j]
+            tau = float(rng.uniform())
+            state = flowpath.sample_path_state(
+                item.b.samples, item.s1.samples, tau, pp,
+                seed=int(rng.integers(0, 2 ** 31)))
+            u = flowpath.target_velocity(state, item.b.samples,
+                                         item.s1.samples, pp)
+            batch.append((state.x, e_embeds[j], tau, u))
+        return otcfm_loss_and_grad(net, batch)
+
+    return net, fit(net.parameters(), len(dataset), config, loss_and_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,28 @@ def test_exit_code_corrupt_checkpoint(run_dir, tmp_path, corruption):
                  "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("command", ["ablate", "nfe-sweep"])
+def test_config_rate_differs_from_checkpoint(run_dir, tmp_path, capsys,
+                                             command):
+    # 8 kHz items must not run through nets trained at 16 kHz
+    cfg = _cfg(run_dir)
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", cfg.output_dir, "--out", str(tmp_path),
+                 "--set", "sample_rate_hz=8000"]) == 4
+    assert "but the checkpoints were trained at 16000 Hz" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["train-vel", "train-mr"])
+def test_exit_code_training_divergence(run_dir, tmp_path, capsys, command):
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--out", str(tmp_path), "--set", "lr_init=1e300",
+                 "--set", "lr_min=1e300"]) == 3
+    assert "non-finite loss at epoch 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 

@@ -7,8 +7,8 @@ from adflow.errors import DivergenceError, ParameterError, ShapeError
 from adflow.flowpath import PathParams
 from adflow.sampler import (NfePolicy, OracleField, Schedule, build_schedule,
                             euler_step, extract, extract_adaptive, fixed_mr,
-                            oracle_mr, random_mr)
-from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
+                            oracle_mr)
+from adflow.signal import DatasetConfig, make_dataset, mix
 
 CFG = DatasetConfig(duration_s=0.125)
 
@@ -38,8 +38,6 @@ def test_policy_validation():
         NfePolicy(epsilon=0.0)
     with pytest.raises(ParameterError):
         NfePolicy(epsilon=0.5)
-    with pytest.raises(ParameterError):
-        NfePolicy(mode="midpoint")
 
 
 def test_build_schedule_passthrough_near_one():
@@ -59,11 +57,6 @@ def test_build_schedule_proportional_rule():
     sched = build_schedule(0.7, NfePolicy(max_nfe=5))
     assert sched.nfe == 2  # ceil(0.3 * 5) = 2
     assert sched.taus[0] == 0.7 and sched.taus[-1] == 1.0
-
-
-def test_build_schedule_fixed_mode():
-    sched = build_schedule(0.7, NfePolicy(max_nfe=5, mode="fixed"))
-    assert sched.nfe == 5
 
 
 def test_build_schedule_rejects_bad_tau():
@@ -188,16 +181,6 @@ def test_oracle_mr_with_oracle_field_exact():
         OracleField(item.b, item.s1), NfePolicy(max_nfe=5))
     assert abs(tau_hat - item.tau) < 1e-9
     assert np.max(np.abs(est.samples - item.s1.samples)) < 1e-6
-
-
-def test_random_mr_reproducible():
-    a = random_mr(7)
-    b = random_mr(7)
-    x = e = Waveform(np.ones(10))
-    seq_a = [a(x, e) for _ in range(5)]
-    seq_b = [b(x, e) for _ in range(5)]
-    assert seq_a == seq_b
-    assert all(0.0 <= t <= 1.0 for t in seq_a)
 
 
 def test_fixed_mr_validation():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,17 @@ def test_tensor_roundtrip(tmp_path):
     assert int.from_bytes(raw[4:8], "little") == 2
     assert int.from_bytes(raw[8:12], "little") == 3
     assert int.from_bytes(raw[12:16], "little") == 5
+
+
+@pytest.mark.parametrize("dims, data", [((2 ** 31, 2 ** 31), b"\x00" * 8),
+                                        ((10, 10), b"\x00" * 8)],
+                         ids=["dims_2e31_squared", "dims_past_end"])
+def test_tensor_dims_exceed_file(tmp_path, dims, data):
+    # the stored dims ask for more bytes than the file holds
+    path = tmp_path / "t.adft"
+    path.write_bytes(b"ADFT" + struct.pack("<3I", 2, *dims) + data)
+    with pytest.raises(FileFormatError, match="bytes"):
+        read_tensor(path)
 
 
 def test_tensor_bad_magic(tmp_path):

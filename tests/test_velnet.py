@@ -9,7 +9,7 @@ from adflow.velnet import (AdamW, TrainConfig, VelocityNet, clip_gradients,
                            context_frames, embed_enrollment, embed_tau,
                            frame_signal, load_velnet, lr_for_epoch,
                            otcfm_loss_and_grad, save_velnet, stats_features,
-                           train_velocity, vel_forward, velocity_signal)
+                           train_velocity, velocity_signal)
 
 CFG = DatasetConfig(duration_s=0.125)
 
@@ -86,28 +86,29 @@ def test_context_frames_layout():
     assert np.array_equal(ctx[1], [1, 2, 3, 4, 0, 0])
 
 
-def test_vel_forward_zero_weights_zero_output():
+def test_velocity_signal_zero_weights_zero_output():
     net = tiny_net()
     for w in net.weights:
         w[:] = 0.0
-    out = vel_forward(net, np.ones(24), np.ones(4), 0.5)
-    assert np.array_equal(out, np.zeros(8))
+    out = velocity_signal(net, np.ones(24), np.ones(4), 0.5)
+    assert np.array_equal(out, np.zeros(24))
 
 
-def test_vel_forward_finite_and_sensitive():
+def test_velocity_signal_finite_and_sensitive():
     net = tiny_net(1)
     rng = np.random.default_rng(0)
     x, e = rng.standard_normal(24), rng.standard_normal(4)
-    out = vel_forward(net, x, e, 0.3)
+    out = velocity_signal(net, x, e, 0.3)
     assert np.all(np.isfinite(out))
     net.weights[0][0, 0] *= 2.0
-    assert np.max(np.abs(vel_forward(net, x, e, 0.3) - out)) > 0
+    assert np.max(np.abs(velocity_signal(net, x, e, 0.3) - out)) > 0
 
 
-def test_vel_forward_dim_mismatch():
+def test_velocity_signal_dim_mismatch():
+    # an enrollment embedding of the wrong size makes rows of the wrong width
     net = tiny_net()
     with pytest.raises(ShapeError):
-        vel_forward(net, np.ones(10), np.ones(4), 0.5)
+        velocity_signal(net, np.ones(24), np.ones(3), 0.5)
 
 
 def test_velocity_signal_truncates_to_input_length():
