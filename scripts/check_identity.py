@@ -8,11 +8,16 @@ its own subprocess with one BLAS thread and a fixed small config (seed 3,
 train-mr, ablate, nfe-sweep, nfe-sweep --field oracle and extract
 --reference on one item. Every file they write (CSVs, SVG, checkpoints,
 WAVs, ADFT tensors, effective configs) and every line they print must match
-byte for byte. Exits 0 when all match, 1 on any difference.
+byte for byte. For each CSV that differs, it prints the largest relative
+difference over its numeric cells and the column it occurs in, so an
+intended numeric change shows its size. Exits 0 when all match, 1 on any
+difference.
 
 Usage: python3 scripts/check_identity.py REV
 """
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +76,32 @@ def files_under(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def csv_difference(new: bytes, old: bytes) -> str:
+    """The largest relative difference over the numeric cells of two CSVs,
+    with its column, or what keeps them from being compared cell by cell."""
+    a = list(csv.reader(new.decode("utf-8").splitlines()))
+    b = list(csv.reader(old.decode("utf-8").splitlines()))
+    if a[:1] != b[:1]:
+        return "headers differ"
+    if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
+        return "shapes differ"
+    worst, column = 0.0, None
+    for r, s in zip(a[1:], b[1:]):
+        for name, u, v in zip(a[0], r, s):
+            if u == v:
+                continue
+            try:
+                x, y = float(u), float(v)
+            except ValueError:
+                return f"text differs in column {name}"
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return f"non-finite value differs in column {name}"
+            rel = abs(x - y) / max(abs(x), abs(y))
+            if rel > worst:
+                worst, column = rel, name
+    return f"largest relative difference {worst:.2g} in column {column}"
+
+
 def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -79,11 +110,14 @@ def main(rev: str) -> int:
         printed_old = run_commands(rev_src, tmp / "old")
         new, old = files_under(tmp / "new"), files_under(tmp / "old")
     paths = sorted(new.keys() | old.keys())
-    differ = [str(p) for p in paths if new.get(p) != old.get(p)]
+    differ = [p for p in paths if new.get(p) != old.get(p)]
+    for p in differ:
+        note = (f" ({csv_difference(new[p], old[p])})"
+                if p.suffix == ".csv" and p in new and p in old else "")
+        print(f"DIFFERS: {p}{note}")
     if printed_new != printed_old:
         differ.append("printed output")
-    for name in differ:
-        print(f"DIFFERS: {name}")
+        print("DIFFERS: printed output")
     print(f"{len(paths)} files and the printed output compared with {rev}: "
           + (f"{len(differ)} differ" if differ else "all byte-identical"))
     print(printed_new, end="")

@@ -178,7 +178,9 @@ def save_mrnet(path, reg: MrRegressor) -> None:
 def load_mrnet(path) -> MrRegressor:
     """Read a checkpoint; a malformed one raises FileFormatError.
 
-    Headers written before `sample_rate_hz` existed read as 16 kHz.
+    Headers written before `sample_rate_hz` existed read as 16 kHz. The
+    float32 tensors are upcast: the regressor computes in float64, which
+    costs little next to the velocity field and keeps tau_hat as it was.
     """
     with open(path, "rb") as f:
         try:
@@ -194,6 +196,7 @@ def load_mrnet(path) -> MrRegressor:
                                   f"({exc!r})") from exc
         shapes = [(embed, 3 * (n_fft // 2 + 1) + 1), (embed,),
                   (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
-        tensors = [read_tensor_stream(f, shape) for shape in shapes]
+        tensors = [read_tensor_stream(f, shape).astype(np.float64)
+                   for shape in shapes]
     return MrRegressor(*tensors, feat_n_fft=n_fft, feat_hop=hop,
                        sample_rate_hz=rate)

@@ -433,8 +433,8 @@ def _read_exact(f, n: int) -> bytes:
 
 
 def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
-    """Read one tensor; its stored dims must fit the bytes left in `f` and,
-    with `shape`, equal it."""
+    """Read one tensor as float32, the dtype it is stored in; its stored dims
+    must fit the bytes left in `f` and, with `shape`, equal it."""
     magic = f.read(4)
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
@@ -452,7 +452,7 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
         raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
                               f"but only {left} are left")
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4", count=count)
-    return data.reshape(dims).astype(np.float64)
+    return data.reshape(dims).astype(np.float32)
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

@@ -5,10 +5,14 @@ embedding, sinusoidal tau embedding) to a velocity frame. Training regresses
 it onto the closed-form target velocity with a mean-squared objective,
 optimized by adaptive moments with decoupled weight decay under a cosine
 annealing schedule with linear warmup.
+
+The net computes in the dtype of its weights: float64 when created or
+trained, float32 when loaded from a checkpoint, which stores float32.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,13 @@ DEFAULT_HIDDEN = (128, 128, 128)
 # ---------------------------------------------------------------------------
 # Embeddings and spectral features
 
+@functools.lru_cache(maxsize=8)
+def _tau_freqs(k: int) -> np.ndarray:
+    freqs = np.geomspace(1.0, 64.0, k)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
     """Sinusoidal features [sin(2 pi f_k tau), cos(2 pi f_k tau)].
 
@@ -38,9 +49,7 @@ def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
         raise ParameterError("tau must lie in [0, 1]")
     if dim == 0:
         return np.zeros(0)
-    k = dim // 2
-    freqs = np.geomspace(1.0, 64.0, k)
-    ang = 2 * np.pi * freqs * tau
+    ang = 2 * np.pi * _tau_freqs(dim // 2) * tau
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
@@ -157,34 +166,36 @@ def frame_signal(x: np.ndarray, frame_len: int):
     return padded.reshape(nf, frame_len)
 
 
-def context_frames(frames: np.ndarray) -> np.ndarray:
-    """[prev | current | next] per row, zero-padded at the edges."""
-    zero = np.zeros((1, frames.shape[1]))
-    prev = np.vstack([zero, frames[:-1]])
-    nxt = np.vstack([frames[1:], zero])
-    return np.hstack([prev, frames, nxt])
-
-
 def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
                 tau: float) -> np.ndarray:
-    ctx = context_frames(frame_signal(x, net.frame_len))
-    nf = ctx.shape[0]
-    cols = [ctx]
-    if e_embed.size:
-        cols.append(np.tile(e_embed, (nf, 1)))
+    """Net input, one row per frame of `frame_signal(x, net.frame_len)`:
+    [previous frame | frame | next frame | e_embed | tau embedding], with
+    zero frames past either edge. It is written in place into one matrix
+    of the weights' dtype."""
+    fl = net.frame_len
     te = embed_tau(tau, net.tau_embed_dim)
-    if te.size:
-        cols.append(np.tile(te, (nf, 1)))
-    rows = np.hstack(cols)
-    if rows.shape[1] != net.input_dim:
+    width = 3 * fl + e_embed.size + te.size
+    if width != net.input_dim:
         raise ShapeError(
-            f"built input dim {rows.shape[1]} != net input dim {net.input_dim}")
+            f"built input dim {width} != net input dim {net.input_dim}")
+    frames = frame_signal(x, fl)
+    rows = np.empty((frames.shape[0], width), dtype=net.weights[0].dtype)
+    rows[0, :fl] = 0.0
+    rows[1:, :fl] = frames[:-1]
+    rows[:, fl:2 * fl] = frames
+    rows[:-1, 2 * fl:3 * fl] = frames[1:]
+    rows[-1, 2 * fl:3 * fl] = 0.0
+    rows[:, 3 * fl:3 * fl + e_embed.size] = e_embed
+    rows[:, 3 * fl + e_embed.size:] = te
     return rows
 
 
 def velocity_signal(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
                     tau: float) -> np.ndarray:
-    """Evaluate the field on a whole signal: frame, forward, re-assemble."""
+    """Evaluate the field on a whole signal: frame, forward, re-assemble.
+
+    The result has the dtype of the net's weights.
+    """
     x = np.asarray(x, dtype=np.float64)
     rows = _build_rows(net, x, e_embed, tau)
     out, _ = _forward(net, rows)
@@ -323,6 +334,12 @@ def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
             opt.step(params, grads, lr)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
+    # The loss check runs before each step, so it cannot see the last one;
+    # a parameter past float32's range would reach the checkpoint as inf.
+    limit = np.finfo(np.float32).max
+    if not all(np.all(np.abs(p) <= limit) for p in params):
+        raise DivergenceError("parameters non-finite or beyond float32 range "
+                              f"after the last step of epoch {epoch}")
     return trace
 
 
@@ -375,7 +392,8 @@ def save_velnet(path, net: VelocityNet) -> None:
 def load_velnet(path) -> VelocityNet:
     """Read a checkpoint; a malformed one raises FileFormatError.
 
-    Headers written before `sample_rate_hz` existed read as 16 kHz.
+    Headers written before `sample_rate_hz` existed read as 16 kHz. Tensors
+    stay float32, so the loaded net computes in float32.
     """
     with open(path, "rb") as f:
         try:

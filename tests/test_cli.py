@@ -164,6 +164,17 @@ def test_exit_code_training_divergence(run_dir, tmp_path, capsys, command):
     assert "non-finite loss at epoch 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-vel", "train-mr"])
+def test_exit_code_last_step_divergence(run_dir, tmp_path, capsys, command):
+    # one batch, one step: no loss is computed after the step that diverges
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--out", str(tmp_path), "--set", "n_train=4",
+                 "--set", "batch_size=4", "--set", "epochs=1",
+                 "--set", "lr_init=1e300", "--set", "lr_min=1e300"]) == 3
+    assert "after the last step of epoch 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.ckpt"))
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from adflow.errors import ParameterError, ShapeError
 from adflow.flowpath import PathParams
 from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
 from adflow import velnet
-from adflow.velnet import (AdamW, TrainConfig, VelocityNet, clip_gradients,
-                           context_frames, embed_enrollment, embed_tau,
+from adflow.velnet import (AdamW, TrainConfig, VelocityNet, _build_rows,
+                           clip_gradients, embed_enrollment, embed_tau,
                            frame_signal, load_velnet, lr_for_epoch,
                            otcfm_loss_and_grad, save_velnet, stats_features,
                            train_velocity, velocity_signal)
@@ -17,6 +19,13 @@ CFG = DatasetConfig(duration_s=0.125)
 def tiny_net(seed=0):
     return VelocityNet.create(seed, frame_len=8, hidden_dims=(10,),
                               tau_embed_dim=4, enroll_embed_dim=4)
+
+
+def as_float32(net):
+    """The same net with float32 weights and biases, as a checkpoint loads."""
+    return dataclasses.replace(
+        net, weights=[w.astype(np.float32) for w in net.weights],
+        biases=[b.astype(np.float32) for b in net.biases])
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +88,39 @@ def test_frame_signal_pads_tail():
     assert np.array_equal(frames[2], [8.0, 9.0, 0.0, 0.0])
 
 
-def test_context_frames_layout():
-    frames = np.array([[1.0, 2.0], [3.0, 4.0]])
-    ctx = context_frames(frames)
-    assert np.array_equal(ctx[0], [0, 0, 1, 2, 3, 4])
-    assert np.array_equal(ctx[1], [1, 2, 3, 4, 0, 0])
+def test_build_rows_context_layout():
+    net = VelocityNet(weights=[np.zeros((2, 6))], biases=[np.zeros(2)],
+                      enroll_proj=np.zeros((0, 258)), frame_len=2,
+                      tau_embed_dim=0, enroll_embed_dim=0)
+    rows = _build_rows(net, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(0), 0.5)
+    assert np.array_equal(rows[0], [0, 0, 1, 2, 3, 4])
+    assert np.array_equal(rows[1], [1, 2, 3, 4, 0, 0])
+
+
+def _reference_rows(net, x, e_embed, tau):
+    frames = frame_signal(x, net.frame_len)
+    zero = np.zeros((1, net.frame_len))
+    prev = np.vstack([zero, frames[:-1]])
+    nxt = np.vstack([frames[1:], zero])
+    n = frames.shape[0]
+    te = embed_tau(tau, net.tau_embed_dim)
+    return np.hstack([prev, frames, nxt, np.tile(e_embed, (n, 1)),
+                      np.tile(te, (n, 1))])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, velnet.DEFAULT_FRAME_LEN - 1,
+                               velnet.DEFAULT_FRAME_LEN, 8000, 8001])
+def test_build_rows_matches_stacked_reference(n, dtype):
+    net = VelocityNet.create(2)
+    if dtype == np.float32:
+        net = as_float32(net)
+    rng = np.random.default_rng(n)
+    x, e = rng.standard_normal(n), rng.standard_normal(16)
+    rows = _build_rows(net, x, e, 0.37)
+    assert rows.dtype == dtype
+    assert np.array_equal(rows, _reference_rows(net, x, e, 0.37).astype(dtype))
+
 
 
 def test_velocity_signal_zero_weights_zero_output():
@@ -289,3 +326,17 @@ def test_checkpoint_roundtrip(tmp_path):
     a = velocity_signal(net, x, e, 0.4)
     b = velocity_signal(back, x, e, 0.4)
     assert np.allclose(a, b, atol=1e-5)
+
+
+def test_loaded_net_computes_in_float32(tmp_path):
+    net = velnet.VelocityNet.create(4)
+    assert all(p.dtype == np.float64 for p in net.parameters())
+    rng = np.random.default_rng(0)
+    x, e = rng.standard_normal(200), rng.standard_normal(16)
+    assert velocity_signal(net, x, e, 0.4).dtype == np.float64
+    save_velnet(tmp_path / "velnet.ckpt", net)
+    back = load_velnet(tmp_path / "velnet.ckpt")
+    assert all(p.dtype == np.float32 for p in back.parameters())
+    assert velocity_signal(back, x, e, 0.4).dtype == np.float32
+    with pytest.raises(ShapeError):
+        velocity_signal(back, x, e[:15], 0.4)
