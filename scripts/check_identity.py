@@ -9,9 +9,10 @@ train-mr, ablate, nfe-sweep, nfe-sweep --field oracle and extract
 --reference on one item. Every file they write (CSVs, SVG, checkpoints,
 WAVs, ADFT tensors, effective configs) and every line they print must match
 byte for byte. For each CSV that differs, it prints the largest relative
-difference over its numeric cells and the column it occurs in, so an
-intended numeric change shows its size. Exits 0 when all match, 1 on any
-difference.
+difference over its numeric cells and the column it occurs in, and for
+each checkpoint that differs, the largest relative difference over the
+values of its tensors and the index of the tensor, so an intended numeric
+change shows its size. Exits 0 when all match, 1 on any difference.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -19,10 +20,13 @@ Usage: python3 scripts/check_identity.py REV
 import csv
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -102,6 +106,48 @@ def csv_difference(new: bytes, old: bytes) -> str:
     return f"largest relative difference {worst:.2g} in column {column}"
 
 
+def ckpt_tensors(data: bytes) -> list:
+    """The ADFT tensors that follow a checkpoint's header line."""
+    pos = data.index(b"\n") + 1
+    tensors = []
+    while pos < len(data):
+        if data[pos:pos + 4] != b"ADFT":
+            raise ValueError(f"no tensor magic at byte {pos}")
+        (rank,) = struct.unpack_from("<I", data, pos + 4)
+        dims = struct.unpack_from(f"<{rank}I", data, pos + 8)
+        pos += 8 + 4 * rank
+        count = math.prod(dims)
+        tensors.append(np.frombuffer(data, "<f4", count, pos).reshape(dims))
+        pos += 4 * count
+    return tensors
+
+
+def ckpt_difference(new: bytes, old: bytes) -> str:
+    """The largest relative difference over the tensor values of two
+    checkpoints, with the tensor's index, or what keeps them from being
+    compared value by value."""
+    if new.split(b"\n", 1)[0] != old.split(b"\n", 1)[0]:
+        return "headers differ"
+    try:
+        a, b = ckpt_tensors(new), ckpt_tensors(old)
+    except (ValueError, struct.error) as exc:
+        return f"tensors unreadable ({exc})"
+    if [t.shape for t in a] != [t.shape for t in b]:
+        return "tensor shapes differ"
+    worst, index = 0.0, None
+    for i, (x, y) in enumerate(zip(a, b)):
+        x, y = x.astype(np.float64), y.astype(np.float64)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            return f"non-finite value in tensor {i}"
+        differ = x != y
+        if np.any(differ):
+            rel = np.max(np.abs(x - y)[differ]
+                         / np.maximum(np.abs(x), np.abs(y))[differ])
+            if rel > worst:
+                worst, index = float(rel), i
+    return f"largest relative difference {worst:.2g} in tensor {index}"
+
+
 def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -112,8 +158,10 @@ def main(rev: str) -> int:
     paths = sorted(new.keys() | old.keys())
     differ = [p for p in paths if new.get(p) != old.get(p)]
     for p in differ:
-        note = (f" ({csv_difference(new[p], old[p])})"
-                if p.suffix == ".csv" and p in new and p in old else "")
+        compare = {".csv": csv_difference, ".ckpt": ckpt_difference}.get(
+            p.suffix)
+        note = (f" ({compare(new[p], old[p])})"
+                if compare and p in new and p in old else "")
         print(f"DIFFERS: {p}{note}")
     if printed_new != printed_old:
         differ.append("printed output")

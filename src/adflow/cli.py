@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,12 +62,18 @@ def _coerce(key: str, value: str):
     kind = _FIELD_TYPES[key]
     try:
         if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
+            out = int(value)
+        elif kind == "float":
+            out = float(value)
+        else:
+            return value
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    if kind == "float" and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if key == "seed" and out < 0:
+        raise ConfigError(f"seed must be non-negative, got {out}")
+    return out
 
 
 def parse_config_text(text: str) -> dict:

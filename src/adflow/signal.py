@@ -400,6 +400,8 @@ def write_wav(path, w: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
+    """Read a 16-bit PCM mono WAV; a malformed or truncated one raises
+    FileFormatError."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -407,9 +409,16 @@ def read_wav(path) -> Waveform:
             if f.getsampwidth() != 2:
                 raise FileFormatError(f"{path}: expected 16-bit PCM")
             rate = f.getframerate()
-            raw = f.readframes(f.getnframes())
-    except wave.Error as exc:
-        raise FileFormatError(f"{path}: bad WAV file ({exc})") from exc
+            n_frames = f.getnframes()
+            raw = f.readframes(n_frames)
+    # wave reports a file cut inside its header as EOFError, and a chunk
+    # size that runs past the end of the file as RuntimeError
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise FileFormatError(f"{path}: bad WAV file ({exc!r})") from exc
+    if len(raw) != 2 * n_frames:
+        raise FileFormatError(f"{path}: truncated WAV data: the header "
+                              f"declares {n_frames} samples, the file holds "
+                              f"{len(raw)} bytes of them")
     ints = np.frombuffer(raw, dtype="<i2")
     if ints.size == 0:
         raise FileFormatError(f"{path}: empty WAV file")
@@ -434,7 +443,8 @@ def _read_exact(f, n: int) -> bytes:
 
 def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
     """Read one tensor as float32, the dtype it is stored in; its stored dims
-    must fit the bytes left in `f` and, with `shape`, equal it."""
+    must fit the bytes left in `f` and, with `shape`, equal it, and its
+    values must be finite."""
     magic = f.read(4)
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
@@ -452,6 +462,8 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
         raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
                               f"but only {left} are left")
     data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4", count=count)
+    if not np.all(np.isfinite(data)):
+        raise FileFormatError(f"tensor of dims {dims} holds non-finite values")
     return data.reshape(dims).astype(np.float32)
 
 

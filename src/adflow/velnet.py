@@ -6,8 +6,8 @@ it onto the closed-form target velocity with a mean-squared objective,
 optimized by adaptive moments with decoupled weight decay under a cosine
 annealing schedule with linear warmup.
 
-The net computes in the dtype of its weights: float64 when created or
-trained, float32 when loaded from a checkpoint, which stores float32.
+The net computes in the dtype of its weights: float64 when created, float32
+when trained or loaded from a checkpoint, which stores float32.
 """
 
 from __future__ import annotations
@@ -135,8 +135,10 @@ def _forward(net: VelocityNet, rows: np.ndarray):
     h = rows
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.tanh(z)
+        h = h @ w.T
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
@@ -149,29 +151,34 @@ def _backward(net: VelocityNet, acts: list, d_out: np.ndarray) -> list:
         grads[2 * i] = dz.T @ acts[i]
         grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
-            dh = dz @ net.weights[i]
-            dz = dh * (1.0 - acts[i] ** 2)  # acts[i] = tanh(z_{i-1})
+            dz = dz @ net.weights[i]
+            slope = np.square(acts[i])  # acts[i] = tanh(z_{i-1})
+            np.subtract(1.0, slope, out=slope)
+            dz *= slope
     return grads
 
 
 # ---------------------------------------------------------------------------
 # Framing
 
+def _n_frames(n_samples: int, frame_len: int) -> int:
+    return max(1, -(-n_samples // frame_len))
+
+
 def frame_signal(x: np.ndarray, frame_len: int):
     """Split into non-overlapping frames, zero-padding the tail."""
     x = np.asarray(x, dtype=np.float64)
-    nf = max(1, int(np.ceil(x.size / frame_len)))
+    nf = _n_frames(x.size, frame_len)
     padded = np.zeros(nf * frame_len)
     padded[:x.size] = x
     return padded.reshape(nf, frame_len)
 
 
-def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
-                tau: float) -> np.ndarray:
-    """Net input, one row per frame of `frame_signal(x, net.frame_len)`:
-    [previous frame | frame | next frame | e_embed | tau embedding], with
-    zero frames past either edge. It is written in place into one matrix
-    of the weights' dtype."""
+def _fill_rows(rows: np.ndarray, net: VelocityNet, x: np.ndarray,
+               e_embed: np.ndarray, tau: float) -> None:
+    """Write the net input into `rows`, one row per frame of
+    `frame_signal(x, net.frame_len)`: [previous frame | frame | next frame |
+    e_embed | tau embedding], with zero frames past either edge."""
     fl = net.frame_len
     te = embed_tau(tau, net.tau_embed_dim)
     width = 3 * fl + e_embed.size + te.size
@@ -179,7 +186,6 @@ def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
         raise ShapeError(
             f"built input dim {width} != net input dim {net.input_dim}")
     frames = frame_signal(x, fl)
-    rows = np.empty((frames.shape[0], width), dtype=net.weights[0].dtype)
     rows[0, :fl] = 0.0
     rows[1:, :fl] = frames[:-1]
     rows[:, fl:2 * fl] = frames
@@ -187,6 +193,14 @@ def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
     rows[-1, 2 * fl:3 * fl] = 0.0
     rows[:, 3 * fl:3 * fl + e_embed.size] = e_embed
     rows[:, 3 * fl + e_embed.size:] = te
+
+
+def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
+                tau: float) -> np.ndarray:
+    """The net input for one signal, in one matrix of the weights' dtype."""
+    rows = np.empty((_n_frames(np.size(x), net.frame_len), net.input_dim),
+                    dtype=net.weights[0].dtype)
+    _fill_rows(rows, net, x, e_embed, tau)
     return rows
 
 
@@ -210,29 +224,39 @@ def otcfm_loss_and_grad(net: VelocityNet, batch: list):
 
     batch items are (x_tau, e_embed, tau, u_target) with x_tau/u_target
     equal-length signals. Returns (loss, grads) with grads ordered like
-    net.parameters().
+    net.parameters(). The rows of all items, their framed targets and the
+    mask of their unpadded samples are written into one matrix each, in
+    the weights' dtype, and the whole batch takes one forward and one
+    backward pass.
     """
-    rows_list, target_list, mask_list = [], [], []
-    total = 0
-    for x_tau, e_embed, tau, u_target in batch:
-        x_tau = np.asarray(x_tau, dtype=np.float64)
-        u_target = np.asarray(u_target, dtype=np.float64)
-        if x_tau.shape != u_target.shape:
+    fl = net.frame_len
+    sizes = []
+    for x_tau, _, _, u_target in batch:
+        if np.shape(x_tau) != np.shape(u_target):
             raise ShapeError("x_tau and u_target must have equal length")
-        rows_list.append(_build_rows(net, x_tau, np.asarray(e_embed), tau))
-        tgt = frame_signal(u_target, net.frame_len)
-        msk = frame_signal(np.ones(x_tau.size), net.frame_len)
-        target_list.append(tgt)
-        mask_list.append(msk)
-        total += x_tau.size
-    rows = np.vstack(rows_list)
-    targets = np.vstack(target_list)
-    mask = np.vstack(mask_list)
-    out, acts = _forward(net, rows)
-    diff = (out - targets) * mask
+        sizes.append(np.size(x_tau))
+    counts = [_n_frames(n, fl) for n in sizes]
+    n_rows, dtype = sum(counts), net.weights[0].dtype
+    rows = np.empty((n_rows, net.input_dim), dtype=dtype)
+    targets = np.zeros((n_rows, fl), dtype=dtype)
+    mask = np.zeros((n_rows, fl), dtype=dtype)
+    start = 0
+    for (x_tau, e_embed, tau, u_target), n, count in zip(batch, sizes,
+                                                         counts):
+        stop = start + count
+        _fill_rows(rows[start:stop], net, x_tau, np.asarray(e_embed), tau)
+        targets[start:stop].reshape(-1)[:n] = u_target
+        mask[start:stop].reshape(-1)[:n] = 1.0
+        start = stop
+    total = sum(sizes)
+    # the output becomes the residual in place: _backward does not read it
+    diff, acts = _forward(net, rows)
+    diff -= targets
+    diff *= mask
     loss = float(np.sum(diff ** 2) / total)
-    grads = _backward(net, acts, 2.0 * diff / total)
-    return loss, grads
+    diff *= 2.0
+    diff /= total
+    return loss, _backward(net, acts, diff)
 
 
 @dataclass
@@ -265,15 +289,18 @@ def lr_for_epoch(config: TrainConfig, epoch: int) -> float:
     if epoch < config.warmup_epochs:
         return config.lr_init * (epoch + 1) / config.warmup_epochs
     progress = min(epoch - config.warmup_epochs, config.t_max_epochs)
-    return config.lr_min + 0.5 * (config.lr_init - config.lr_min) * (
-        1.0 + np.cos(np.pi * progress / config.t_max_epochs))
+    return float(config.lr_min + 0.5 * (config.lr_init - config.lr_min) * (
+        1.0 + np.cos(np.pi * progress / config.t_max_epochs)))
 
 
 def clip_gradients(grads: list, max_norm: float):
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm.
+
+    Each gradient keeps its dtype: the scale is a Python float.
+    """
     total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads))
     if total > max_norm:
-        scale = max_norm / total
+        scale = float(max_norm / total)
         grads = [g * scale for g in grads]
     return grads, total
 
@@ -348,9 +375,14 @@ def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
     """Train the velocity field on MixtureItems; returns (net, loss_trace).
 
     Per step a fresh tau ~ U[0,1] is drawn per item and the path state is
-    re-sampled; the regression target is the closed-form velocity.
+    re-sampled; the regression target is the closed-form velocity. The
+    net's weights and biases are first cast to float32, the dtype its
+    checkpoint stores, so training computes in float32 and leaves `net`
+    float32; the enrollment projection stays as it is.
     """
     pp = path_params or flowpath.PathParams()
+    net.weights = [w.astype(np.float32) for w in net.weights]
+    net.biases = [b.astype(np.float32) for b in net.biases]
     e_embeds = [embed_enrollment(item.e, net) for item in dataset]
 
     def loss_and_grad(idx, rng):

@@ -99,6 +99,20 @@ def test_exit_code_config_error(tmp_path):
     assert main(["gen-data", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command, args", [
+    ("train-vel", ["--seed", "-1"]),
+    ("train-mr", ["--seed", "-1"]),
+    ("gen-data", ["--set", "duration_s=nan"]),
+    ("gen-data", ["--set", "duration_s=inf"]),
+    ("train-vel", ["--set", "lr_init=-inf"]),
+], ids=["train_vel_negative_seed", "train_mr_negative_seed",
+        "duration_nan", "duration_inf", "lr_init_minus_inf"])
+def test_exit_code_bad_config_value(tmp_path, capsys, command, args):
+    assert main([command, "--out", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_io_error(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"output_dir = {tmp_path / 'empty'}\nn_eval = 2\n"
@@ -142,6 +156,24 @@ def test_exit_code_corrupt_checkpoint(run_dir, tmp_path, corruption):
                  "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
 
 
+def _nan_first_weight(path: Path) -> None:
+    # the first tensor of both checkpoints is a matrix: its data starts after
+    # the header line, the magic, the rank and two dims
+    data = bytearray(path.read_bytes())
+    start = data.index(b"\n") + 1 + 16
+    data[start:start + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("name", ["velnet", "mrnet"])
+def test_exit_code_nonfinite_checkpoint(run_dir, tmp_path, capsys, name):
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    _nan_first_weight(ck / f"{name}.ckpt")
+    assert main(["ablate", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
+    assert "non-finite values" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ablate", "nfe-sweep"])
 def test_config_rate_differs_from_checkpoint(run_dir, tmp_path, capsys,
                                              command):
@@ -164,6 +196,8 @@ def test_exit_code_training_divergence(run_dir, tmp_path, capsys, command):
     assert "non-finite loss at epoch 0" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command", ["train-vel", "train-mr"])
 def test_exit_code_last_step_divergence(run_dir, tmp_path, capsys, command):
     # one batch, one step: no loss is computed after the step that diverges
@@ -343,6 +377,33 @@ def test_extract_end_to_end(run_dir, tmp_path):
     assert result["nfe_used"] == nfe
     assert result["si_sdr_db"] == metrics.si_sdr(est2, ref)
     assert result["lsd_db"] == metrics.lsd(est2, ref, cfg.n_fft, cfg.hop)
+
+
+def _set_fmt_chunk_size(data: bytes) -> bytes:
+    # a fmt chunk size past the end of the file
+    return data[:16] + (2 ** 31).to_bytes(4, "little") + data[20:]
+
+
+MALFORMED_WAVS = {
+    "odd_bytes": lambda data: data[:-1],
+    "header_only": lambda data: data[:30],
+    "bad_chunk": _set_fmt_chunk_size,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVS))
+def test_extract_malformed_wav(run_dir, tmp_path, capsys, case):
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    bad = tmp_path / "x.wav"
+    bad.write_bytes(MALFORMED_WAVS[case]((data / "item_0000_x.wav")
+                                         .read_bytes()))
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(cfg.output_dir), "--in", str(bad),
+                 "--enroll", str(data / "item_0000_e.wav"),
+                 "--out-wav", str(tmp_path / "o.wav")]) == 4
+    assert "x.wav" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_extract_rate_mismatch(run_dir, tmp_path):

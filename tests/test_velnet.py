@@ -184,6 +184,82 @@ def test_loss_hand_computed_single_linear_layer():
     assert np.array_equal(grads[1], [-4.0])
 
 
+def _batch(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(n), rng.standard_normal(16),
+             float(rng.uniform()), rng.standard_normal(n)) for n in lengths]
+
+
+BATCH_LENGTHS = (1, velnet.DEFAULT_FRAME_LEN - 1, velnet.DEFAULT_FRAME_LEN,
+                 8001)
+
+
+def _reference_loss_and_grad(net, batch):
+    """Per-item rows, targets and masks stacked with vstack, then an
+    out-of-place forward and backward: what the batch matrix replaces."""
+    rows, targets, masks = [], [], []
+    for x, e, tau, u in batch:
+        rows.append(_build_rows(net, x, e, tau))
+        targets.append(frame_signal(u, net.frame_len))
+        masks.append(frame_signal(np.ones(x.size), net.frame_len))
+    total = sum(x.size for x, *_ in batch)
+    last = len(net.weights) - 1
+    acts = [np.vstack(rows)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == last else np.tanh(z))
+    diff = (acts[-1] - np.vstack(targets)) * np.vstack(masks)
+    loss = float(np.sum(diff ** 2) / total)
+    dz = 2.0 * diff / total
+    grads = [None] * (2 * len(net.weights))
+    for i in range(last, -1, -1):
+        grads[2 * i] = dz.T @ acts[i]
+        grads[2 * i + 1] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ net.weights[i]) * (1.0 - acts[i] ** 2)
+    return loss, grads
+
+
+def test_loss_and_grad_byte_identical_to_stacked_reference():
+    net = VelocityNet.create(5)
+    batch = _batch(BATCH_LENGTHS)
+    loss, grads = otcfm_loss_and_grad(net, batch)
+    ref_loss, ref_grads = _reference_loss_and_grad(net, batch)
+    assert loss == ref_loss
+    assert len(grads) == len(ref_grads)
+    for g, r in zip(grads, ref_grads):
+        assert g.dtype == np.float64
+        assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_matrix_equals_stacked_rows(monkeypatch, dtype):
+    net = VelocityNet.create(6)
+    if dtype == np.float32:
+        net = as_float32(net)
+    batch = _batch(BATCH_LENGTHS, seed=1)
+    seen = []
+    real_forward = velnet._forward
+
+    def recording_forward(net, rows):
+        seen.append(rows.copy())
+        return real_forward(net, rows)
+
+    monkeypatch.setattr(velnet, "_forward", recording_forward)
+    _, grads = otcfm_loss_and_grad(net, batch)
+    stacked = np.vstack([_build_rows(net, x, e, tau) for x, e, tau, _ in batch])
+    assert len(seen) == 1
+    assert seen[0].dtype == dtype
+    assert np.array_equal(seen[0], stacked)
+    assert all(g.dtype == dtype for g in grads)
+
+
+def test_loss_and_grad_rejects_mismatched_lengths():
+    net = tiny_net()
+    with pytest.raises(ShapeError):
+        otcfm_loss_and_grad(net, [(np.ones(24), np.ones(4), 0.5, np.ones(23))])
+
+
 def _grad_check(seed, h=1e-4):
     rng = np.random.default_rng(seed)
     net = tiny_net(seed)
@@ -223,6 +299,15 @@ def test_lr_schedule_values():
     assert mid == pytest.approx(cfg.lr_min + 0.5 * (cfg.lr_init - cfg.lr_min))
     assert lr_for_epoch(cfg, 5 + 50) == pytest.approx(cfg.lr_min)
     assert lr_for_epoch(cfg, 500) == pytest.approx(cfg.lr_min)  # held flat
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_clip_gradients_keeps_dtype(dtype):
+    grads = [np.full(4, 3.0, dtype=dtype), np.full(9, 4.0, dtype=dtype)]
+    clipped, norm = clip_gradients(grads, 0.5)
+    assert norm > 0.5
+    assert all(g.dtype == dtype for g in clipped)
+    assert clipped[0].tobytes() == (grads[0] * dtype(0.5 / norm)).tobytes()
 
 
 def test_clip_gradients_global_norm():
@@ -270,6 +355,29 @@ def test_training_reduces_loss():
     _, trace = train_velocity(net, items, cfg)
     assert len(trace) == 50
     assert trace[-1] < trace[0]
+
+
+def test_training_runs_in_float32(monkeypatch):
+    items = make_dataset(6, "uniform", CFG, seed=8)
+    net = VelocityNet.create(2)
+    steps = []
+    real_step = AdamW.step
+
+    def recording_step(self, params, grads, lr):
+        steps.append([a.dtype for a in (*params, *grads, *self.m, *self.v)])
+        assert type(lr) is float  # a NumPy scalar would upcast the step
+        return real_step(self, params, grads, lr)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    # a tiny clip norm makes every step go through the clipping scale
+    cfg = TrainConfig(epochs=2, batch_size=4, grad_clip=1e-6, seed=0)
+    trained, trace = train_velocity(net, items, cfg)
+    assert trained is net
+    assert all(p.dtype == np.float32 for p in net.parameters())
+    assert net.enroll_proj.dtype == np.float64
+    assert len(steps) == 4
+    assert all(d == np.float32 for dtypes in steps for d in dtypes)
+    assert all(np.isfinite(trace))
 
 
 def test_training_deterministic():
