@@ -7,12 +7,15 @@ its own subprocess with one BLAS thread and a fixed small config (seed 3,
 32 training items, 12 eval items of 0.5 s, 5 epochs): gen-data, train-vel,
 train-mr, ablate, nfe-sweep, nfe-sweep --field oracle and extract
 --reference on one item. Every file they write (CSVs, SVG, checkpoints,
-WAVs, ADFT tensors, effective configs) and every line they print must match
-byte for byte. For each CSV that differs, it prints the largest relative
-difference over its numeric cells and the column it occurs in, and for
-each checkpoint that differs, the largest relative difference over the
-values of its tensors and the index of the tensor, so an intended numeric
-change shows its size. Exits 0 when all match, 1 on any difference.
+WAVs, ADFT tensors, effective configs, and the dataset stores
+`run/train_set.adfd`, `run/eval_set.adfd` and `oracle/eval_set.adfd`) and
+every line they print must match byte for byte. A file written on one side
+only is reported as `ONLY IN <side>: path`. For each CSV that differs, it
+prints the largest relative difference over its numeric cells and the
+column it occurs in, and for each checkpoint that differs, the largest
+relative difference over the values of its tensors and the index of the
+tensor, so an intended numeric change shows its size. Exits 0 when all
+match, 1 on any difference, a one-sided file included.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -158,11 +161,15 @@ def main(rev: str) -> int:
     paths = sorted(new.keys() | old.keys())
     differ = [p for p in paths if new.get(p) != old.get(p)]
     for p in differ:
-        compare = {".csv": csv_difference, ".ckpt": ckpt_difference}.get(
-            p.suffix)
-        note = (f" ({compare(new[p], old[p])})"
-                if compare and p in new and p in old else "")
-        print(f"DIFFERS: {p}{note}")
+        if p not in old:
+            print(f"ONLY IN working tree: {p}")
+        elif p not in new:
+            print(f"ONLY IN {rev}: {p}")
+        else:
+            compare = {".csv": csv_difference,
+                       ".ckpt": ckpt_difference}.get(p.suffix)
+            note = f" ({compare(new[p], old[p])})" if compare else ""
+            print(f"DIFFERS: {p}{note}")
     if printed_new != printed_old:
         differ.append("printed output")
         print("DIFFERS: printed output")

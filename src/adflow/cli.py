@@ -30,6 +30,10 @@ from .signal import (DatasetConfig, make_dataset, read_wav, spectral_record,
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
+# Largest waveform a config may ask for: 2^24 samples (about 17 minutes at
+# 16 kHz) is 128 MB per float64 waveform.
+MAX_WAVEFORM_SAMPLES = 2 ** 24
+
 
 @dataclass
 class RunConfig:
@@ -102,7 +106,19 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _coerce(key, str(value))
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    if cfg.sample_rate_hz <= 0:
+        raise ConfigError(f"sample_rate_hz must be positive, got "
+                          f"{cfg.sample_rate_hz}")
+    try:
+        n_samples = round(cfg.duration_s * cfg.sample_rate_hz)
+    except OverflowError:  # the product is past float range
+        n_samples = math.inf
+    if n_samples > MAX_WAVEFORM_SAMPLES:
+        raise ConfigError(f"duration_s={cfg.duration_s!r} at "
+                          f"{cfg.sample_rate_hz} Hz asks for more than "
+                          f"{MAX_WAVEFORM_SAMPLES} samples per waveform")
+    return cfg
 
 
 def write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -130,14 +146,18 @@ def _path_params(cfg: RunConfig) -> flowpath.PathParams:
                                sigma_max=cfg.sigma_max)
 
 
-def _train_dataset(cfg: RunConfig) -> list:
-    return make_dataset(cfg.n_train, "uniform", _dataset_config(cfg), cfg.seed)
+# Each set is stored in the output directory, so the commands that share
+# one directory synthesize it once (see `make_dataset`).
+
+def _train_dataset(cfg: RunConfig, out: Path) -> list:
+    return make_dataset(cfg.n_train, "uniform", _dataset_config(cfg), cfg.seed,
+                        store=out / "train_set.adfd")
 
 
-def _eval_dataset(cfg: RunConfig) -> list:
+def _eval_dataset(cfg: RunConfig, out: Path) -> list:
     # eval seed offset keeps the two sets disjoint under one config seed
     return make_dataset(cfg.n_eval, "uniform", _dataset_config(cfg),
-                        cfg.seed + 1)
+                        cfg.seed + 1, store=out / "eval_set.adfd")
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -160,7 +180,7 @@ def cmd_gen_data(cfg: RunConfig) -> Path:
     data_dir = out / "dataset"
     data_dir.mkdir(exist_ok=True)
     rows = []
-    for i, item in enumerate(_eval_dataset(cfg)):
+    for i, item in enumerate(_eval_dataset(cfg, out)):
         stem = f"item_{i:04d}"
         for tag, wav in (("x", item.x), ("e", item.e),
                          ("s1", item.s1), ("b", item.b)):
@@ -189,7 +209,7 @@ def cmd_train_vel(cfg: RunConfig) -> Path:
     net = velnet.VelocityNet.create(cfg.seed, feat_n_fft=cfg.n_fft,
                                     feat_hop=cfg.hop,
                                     sample_rate_hz=cfg.sample_rate_hz)
-    _, trace = velnet.train_velocity(net, _train_dataset(cfg),
+    _, trace = velnet.train_velocity(net, _train_dataset(cfg, out),
                                      _train_config(cfg), _path_params(cfg))
     velnet.save_velnet(out / "velnet.ckpt", net)
     _loss_csv(out / "train_vel_loss.csv", cfg, trace)
@@ -201,7 +221,8 @@ def cmd_train_mr(cfg: RunConfig) -> Path:
     reg = mrnet.MrRegressor.create(cfg.seed + 17, feat_n_fft=cfg.n_fft,
                                    feat_hop=cfg.hop,
                                    sample_rate_hz=cfg.sample_rate_hz)
-    _, trace = mrnet.mr_train(reg, _train_dataset(cfg), _train_config(cfg))
+    _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out),
+                              _train_config(cfg))
     mrnet.save_mrnet(out / "mrnet.ckpt", reg)
     _loss_csv(out / "train_mr_loss.csv", cfg, trace)
     return out
@@ -261,7 +282,7 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     """Table-style grid: five MR sources x {oracle, net} fields."""
     out = _prepare_out(cfg)
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
-    items = _eval_dataset(cfg)
+    items = _eval_dataset(cfg, out)
     pp = _path_params(cfg)
     policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
     rand_rng = np.random.default_rng(cfg.seed + 4242)
@@ -339,7 +360,7 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
         raise ConfigError(f"unknown field {field!r}")
     out = _prepare_out(cfg)
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
-    items = _eval_dataset(cfg)
+    items = _eval_dataset(cfg, out)
     pp = _path_params(cfg)
     policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
                 for n in NFE_SWEEP_VALUES]

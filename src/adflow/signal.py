@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 import wave
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +29,8 @@ WAV_FULL_SCALE = 4.0
 
 _TENSOR_MAGIC = b"ADFT"
 _MAX_TENSOR_RANK = 8
+
+_STORE_MAGIC = "ADFLOW-DATASET v1"
 
 
 @dataclass(frozen=True)
@@ -244,13 +249,104 @@ class MixtureItem:
     spec: MixtureSpec
 
 
+def _draw_item(rng: np.random.Generator, fixed_tau, duration_s: float):
+    """One item's plan from the dataset generator: (spec, source seed,
+    enrollment seed, background seed)."""
+    target = random_identity(rng)
+    n_intf = int(rng.integers(1, 3))
+    interferers = tuple(
+        (random_identity(rng), float(rng.uniform(0.5, 1.0)))
+        for _ in range(n_intf))
+    noise_w = float(rng.uniform(0.1, 0.5))
+    tau = float(rng.uniform()) if fixed_tau is None else fixed_tau
+    spec = MixtureSpec(target=target, interferers=interferers,
+                       noise_weight=noise_w, tau=tau, duration_s=duration_s)
+    return (spec, int(rng.integers(0, 2 ** 31)), int(rng.integers(0, 2 ** 31)),
+            int(rng.integers(0, 2 ** 31)))
+
+
+def _synth_item(plan, cfg: DatasetConfig) -> tuple:
+    """The (s1, e, b) waveforms of one planned item."""
+    spec, src_seed, enr_seed, bg_seed = plan
+    return (synth_source(spec.target, cfg.duration_s, cfg.sample_rate_hz,
+                         src_seed),
+            synth_source(spec.target, cfg.duration_s, cfg.sample_rate_hz,
+                         enr_seed),
+            synth_background(spec, cfg.duration_s, cfg.sample_rate_hz,
+                             bg_seed))
+
+
+def _read_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
+    """The (s1, e, b) waveforms of every item from the store at `path`, or
+    None when it is missing, unreadable or fails a check: header, exact
+    length, CRC-32 of the payload, and item 0 synthesized again matching
+    its stored bytes (which catches changed synthesis code or libm)."""
+    n = int(round(cfg.duration_s * cfg.sample_rate_hz))
+    try:
+        with open(path, "rb") as f:
+            header = f.readline(len(prefix) + 9)
+            if (not header.startswith(prefix) or len(header) != len(prefix) + 9
+                    or os.fstat(f.fileno()).st_size
+                    != len(header) + 3 * 8 * n * len(plans)):
+                return None
+            crc = 0
+            stored = []
+            for _ in plans:
+                trio = [np.empty(n, dtype="<f8") for _ in range(3)]
+                for arr in trio:
+                    if f.readinto(arr) != arr.nbytes:
+                        return None
+                    crc = zlib.crc32(arr, crc)
+                stored.append(trio)
+    except OSError:
+        return None
+    if header[len(prefix):] != b"%08x\n" % crc:
+        return None
+    first = _synth_item(plans[0], cfg)
+    if any(w.samples.tobytes() != arr.tobytes()
+           for w, arr in zip(first, stored[0])):
+        return None
+    try:
+        return [first] + [tuple(Waveform(arr, cfg.sample_rate_hz)
+                                for arr in trio) for trio in stored[1:]]
+    except ParameterError:  # a non-finite sample behind a matching CRC
+        return None
+
+
+def _write_store(path, prefix: bytes, waves: list) -> None:
+    """Atomically replace the store at `path` with `waves`; one waveform
+    is written at a time."""
+    payload = [w.samples.astype("<f8", copy=False)
+               for trio in waves for w in trio]
+    crc = 0
+    for arr in payload:
+        crc = zlib.crc32(arr, crc)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(prefix + b"%08x\n" % crc)
+            for arr in payload:
+                f.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
-                 seed: int = 0) -> list:
+                 seed: int = 0, store=None) -> list:
     """Build n_items supervised mixtures.
 
     tau_sampler is "uniform" (tau ~ U[0,1] per item) or a float (fixed tau).
     Each item draws a fresh target identity; the enrollment is an independent
     second draw from the same identity. Deterministic given seed.
+
+    With `store`, a file path, the float64 samples of s1, e and b are read
+    from that file when it holds this dataset and passes its checks (see
+    `_read_store`); otherwise they are synthesized and the file is
+    atomically replaced. Every item is the same either way: synthesis draws
+    nothing from the dataset generator, and x is mixed again from s1 and b.
     """
     if n_items <= 0:
         raise ParameterError("n_items must be positive")
@@ -264,27 +360,23 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
             raise ParameterError("fixed tau must lie in [0, 1]")
     cfg = config or DatasetConfig()
     rng = np.random.default_rng(seed)
-    items = []
-    for _ in range(n_items):
-        target = random_identity(rng)
-        n_intf = int(rng.integers(1, 3))
-        interferers = tuple(
-            (random_identity(rng), float(rng.uniform(0.5, 1.0)))
-            for _ in range(n_intf))
-        noise_w = float(rng.uniform(0.1, 0.5))
-        tau = float(rng.uniform()) if fixed_tau is None else fixed_tau
-        spec = MixtureSpec(target=target, interferers=interferers,
-                           noise_weight=noise_w, tau=tau,
-                           duration_s=cfg.duration_s)
-        src_seed = int(rng.integers(0, 2 ** 31))
-        enr_seed = int(rng.integers(0, 2 ** 31))
-        bg_seed = int(rng.integers(0, 2 ** 31))
-        s1 = synth_source(target, cfg.duration_s, cfg.sample_rate_hz, src_seed)
-        e = synth_source(target, cfg.duration_s, cfg.sample_rate_hz, enr_seed)
-        b = synth_background(spec, cfg.duration_s, cfg.sample_rate_hz, bg_seed)
-        items.append(MixtureItem(x=mix(s1, b, tau), e=e, s1=s1, b=b,
-                                 tau=tau, spec=spec))
-    return items
+    plans = [_draw_item(rng, fixed_tau, cfg.duration_s)
+             for _ in range(n_items)]
+    waves = None
+    if store is not None:
+        sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
+        prefix = (f"{_STORE_MAGIC} n_items={n_items} tau_sampler={sampler} "
+                  f"seed={seed} duration_s={float(cfg.duration_s)!r} "
+                  f"sample_rate_hz={cfg.sample_rate_hz} "
+                  f"numpy={np.__version__} crc32=").encode()
+        waves = _read_store(store, prefix, plans, cfg)
+    if waves is None:
+        waves = [_synth_item(plan, cfg) for plan in plans]
+        if store is not None:
+            _write_store(store, prefix, waves)
+    return [MixtureItem(x=mix(s1, b, spec.tau), e=e, s1=s1, b=b,
+                        tau=spec.tau, spec=spec)
+            for (spec, *_), (s1, e, b) in zip(plans, waves)]
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,25 @@ def test_exit_code_config_error(tmp_path):
     ("gen-data", ["--set", "duration_s=nan"]),
     ("gen-data", ["--set", "duration_s=inf"]),
     ("train-vel", ["--set", "lr_init=-inf"]),
+    ("gen-data", ["--set", "duration_s=1e300"]),
+    ("gen-data", ["--set", "duration_s=1e5"]),
+    ("gen-data", ["--set", "sample_rate_hz=0"]),
 ], ids=["train_vel_negative_seed", "train_mr_negative_seed",
-        "duration_nan", "duration_inf", "lr_init_minus_inf"])
+        "duration_nan", "duration_inf", "lr_init_minus_inf",
+        "duration_1e300", "duration_past_sample_cap", "sample_rate_zero"])
 def test_exit_code_bad_config_value(tmp_path, capsys, command, args):
     assert main([command, "--out", str(tmp_path), *args]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())
+
+
+def test_load_config_sample_cap_is_inclusive():
+    cap = load_config(None, {"duration_s": str(cli.MAX_WAVEFORM_SAMPLES
+                                               / 16000)})
+    assert round(cap.duration_s * cap.sample_rate_hz) == \
+        cli.MAX_WAVEFORM_SAMPLES
+    with pytest.raises(ConfigError, match="samples per waveform"):
+        load_config(None, {"duration_s": str(cap.duration_s + 1e-4)})
 
 
 def test_exit_code_io_error(tmp_path):
@@ -277,6 +290,30 @@ def test_checkpoint_without_sample_rate_reads_16k(run_dir, tmp_path):
         assert b"sample_rate_hz" not in header
     assert velnet.load_velnet(ck / "velnet.ckpt").sample_rate_hz == 16000
     assert mrnet.load_mrnet(ck / "mrnet.ckpt").sample_rate_hz == 16000
+
+
+@pytest.mark.parametrize("command, names", [
+    ("train-mr", ("train_mr_loss.csv", "mrnet.ckpt", "train_set.adfd")),
+    ("nfe-sweep", ("nfe_sweep.csv", "nfe_sweep.svg", "eval_set.adfd")),
+])
+def test_stored_set_matches_fresh_dir(run_dir, tmp_path, command, names):
+    # in the shared run, train-mr read the set train-vel stored, and
+    # nfe-sweep the set gen-data stored; here each synthesizes it alone
+    out = Path(_cfg(run_dir).output_dir)
+    ckpt = ["--checkpoints", str(out)] if command == "nfe-sweep" else []
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--out", str(tmp_path), *ckpt]) == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_failed_store_write_exits_4(run_dir, tmp_path, capsys):
+    (tmp_path / "train_set.adfd").mkdir()
+    assert main(["train-mr", "--config", str(run_dir / "run.cfg"),
+                 "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["effective_config.txt", "train_set.adfd"]
 
 
 def test_train_rerun_byte_identical(run_dir, tmp_path):

@@ -1,6 +1,7 @@
 """Damaged inputs through the CLI: checkpoints and WAVs with bytes cut off
 or overwritten must end in an exit code of the contract, never in an
-exception escaping `adflow.cli.main`."""
+exception escaping `adflow.cli.main`. A damaged training-set store is only
+a cache miss: `train-mr` must succeed with the outputs of the pristine run."""
 
 import shutil
 import tempfile
@@ -22,7 +23,9 @@ batch_size = 4
 max_nfe = 3
 """
 
-TARGETS = ("velnet.ckpt", "mrnet.ckpt", "x.wav")
+STORE = "train_set.adfd"
+TARGETS = ("velnet.ckpt", "mrnet.ckpt", "x.wav", STORE)
+STORE_OUTPUTS = ("train_mr_loss.csv", "mrnet.ckpt", STORE)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100)
@@ -41,14 +44,25 @@ def pristine(tmp_path_factory):
 
 
 def _run_on_damaged(pristine: Path, target: str, damage) -> int:
-    """Copy the inputs, damage `target`, run the command that reads it."""
+    """Copy the inputs, damage `target`, run the command that reads it.
+
+    For the store, the command is `train-mr` writing into the directory
+    that holds it, and its outputs must equal the pristine run's.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name in (*TARGETS, "e.wav"):
             shutil.copy(pristine / name, work / name)
         (work / target).write_bytes(damage((work / target).read_bytes()))
-        common = ["--config", str(pristine / "run.cfg"),
-                  "--checkpoints", str(work), "--out", str(work / "out")]
+        config = ["--config", str(pristine / "run.cfg")]
+        if target == STORE:
+            code = main(["train-mr", *config, "--out", str(work)])
+            for name in STORE_OUTPUTS:
+                assert (work / name).read_bytes() == \
+                    (pristine / name).read_bytes(), name
+            return code
+        common = [*config, "--checkpoints", str(work),
+                  "--out", str(work / "out")]
         if target.endswith(".ckpt"):
             return main(["ablate", *common])
         return main(["extract", *common, "--in", str(work / "x.wav"),
@@ -60,11 +74,13 @@ def _run_on_damaged(pristine: Path, target: str, damage) -> int:
 @given(target=st.sampled_from(TARGETS), keep=st.floats(0.0, 1.0,
                                                         exclude_max=True))
 def test_truncated_input_fails_closed(pristine, target, keep):
-    # any cut loses declared bytes, so the input can never be accepted
+    # any cut loses declared bytes, so the input can never be accepted;
+    # a cut store is synthesized again
     def cut(data):
         return data[:int(keep * len(data))]
 
-    assert _run_on_damaged(pristine, target, cut) in (1, 2, 3, 4)
+    expect = (0,) if target == STORE else (1, 2, 3, 4)
+    assert _run_on_damaged(pristine, target, cut) in expect
 
 
 @FUZZ
@@ -74,9 +90,11 @@ def test_truncated_input_fails_closed(pristine, target, keep):
 def test_overwritten_input_keeps_exit_contract(pristine, target, where,
                                                patch):
     # an overwrite inside sample or weight data can leave a valid file, so
-    # success is allowed; an escaping exception or other code is not
+    # success is allowed; an escaping exception or other code is not; an
+    # overwritten store is synthesized again
     def overwrite(data):
         at = int(where * len(data))
         return data[:at] + patch[:len(data) - at] + data[at + len(patch):]
 
-    assert _run_on_damaged(pristine, target, overwrite) in (0, 1, 2, 3, 4)
+    expect = (0,) if target == STORE else (0, 1, 2, 3, 4)
+    assert _run_on_damaged(pristine, target, overwrite) in expect

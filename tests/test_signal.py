@@ -1,10 +1,12 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adflow import signal
 from adflow.errors import FileFormatError, ParameterError, ShapeError
 from adflow.signal import (DatasetConfig, MixtureSpec, SpeakerIdentity,
                            Waveform, hann_window, istft, make_dataset, mix,
@@ -200,6 +202,100 @@ def test_make_dataset_rejects_bad_args():
         make_dataset(1, "gauss", CFG, seed=0)
     with pytest.raises(ParameterError):
         make_dataset(1, 1.5, CFG, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Dataset store
+
+def _assert_same_items(a, b):
+    assert len(a) == len(b)
+    for ia, ib in zip(a, b):
+        assert ia.tau == ib.tau and ia.spec == ib.spec
+        for tag in ("x", "e", "s1", "b"):
+            assert (getattr(ia, tag).samples.tobytes()
+                    == getattr(ib, tag).samples.tobytes())
+
+
+def test_store_hit_equals_synthesis(tmp_path):
+    store = tmp_path / "set.adfd"
+    plain = make_dataset(3, "uniform", CFG, seed=5)
+    _assert_same_items(make_dataset(3, "uniform", CFG, seed=5, store=store),
+                       plain)
+    written = store.read_bytes()
+    n = round(CFG.duration_s * CFG.sample_rate_hz)
+    assert len(written) == written.index(b"\n") + 1 + 3 * 3 * n * 8
+    _assert_same_items(make_dataset(3, "uniform", CFG, seed=5, store=store),
+                       plain)
+    assert store.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["set.adfd"]
+
+
+def test_store_hit_synthesizes_item_zero_only(tmp_path, monkeypatch):
+    store = tmp_path / "set.adfd"
+    make_dataset(4, "uniform", CFG, seed=6, store=store)
+    calls = []
+    real_synth_source = signal.synth_source
+
+    def counting_synth_source(*args, **kwargs):
+        calls.append(1)
+        return real_synth_source(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "synth_source", counting_synth_source)
+    make_dataset(1, "uniform", CFG, seed=6)  # item 0 of the same set
+    item_zero = len(calls)
+    calls.clear()
+    make_dataset(4, "uniform", CFG, seed=6, store=store)
+    assert item_zero >= 3 and len(calls) == item_zero
+
+
+def _payload_start(data: bytes) -> int:
+    return data.index(b"\n") + 1
+
+
+def _with_crc(data: bytes) -> bytes:
+    """`data` with the CRC in its header recomputed over its payload."""
+    start = _payload_start(data)
+    crc = b"%08x\n" % zlib.crc32(data[start:])
+    return data[:start - len(crc)] + crc + data[start:]
+
+
+def _flip(data: bytes, at: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+ITEM_BYTES = 3 * round(CFG.duration_s * CFG.sample_rate_hz) * 8
+
+DAMAGED_STORES = {
+    "truncated": lambda d: d[:len(d) // 2],
+    "trailing_bytes": lambda d: d + b"\0" * 8,
+    "flipped_byte_in_item_2": lambda d: _flip(
+        d, _payload_start(d) + 2 * ITEM_BYTES + 100),
+    "item_0_changed_crc_recomputed": lambda d: _with_crc(
+        _flip(d, _payload_start(d) + 8)),
+    "nan_in_item_1_crc_recomputed": lambda d: _with_crc(
+        d[:_payload_start(d) + ITEM_BYTES]
+        + np.array([np.nan], "<f8").tobytes()
+        + d[_payload_start(d) + ITEM_BYTES + 8:]),
+    "header_other_seed": lambda d: d.replace(b" seed=5 ", b" seed=6 ", 1),
+    "header_other_n_items": lambda d: d.replace(b" n_items=3 ",
+                                                b" n_items=2 ", 1),
+    "header_other_duration": lambda d: d.replace(b" duration_s=0.125 ",
+                                                 b" duration_s=0.375 ", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_STORES))
+def test_damaged_store_is_resynthesized(tmp_path, case):
+    store = tmp_path / "set.adfd"
+    plain = make_dataset(3, "uniform", CFG, seed=5)
+    make_dataset(3, "uniform", CFG, seed=5, store=store)
+    pristine = store.read_bytes()
+    damaged = DAMAGED_STORES[case](pristine)
+    assert damaged != pristine
+    store.write_bytes(damaged)
+    _assert_same_items(make_dataset(3, "uniform", CFG, seed=5, store=store),
+                       plain)
+    assert store.read_bytes() == pristine
 
 
 # ---------------------------------------------------------------------------
