@@ -9,13 +9,21 @@ train-mr, ablate, nfe-sweep, nfe-sweep --field oracle and extract
 --reference on one item. Every file they write (CSVs, SVG, checkpoints,
 WAVs, ADFT tensors, effective configs, and the dataset stores
 `run/train_set.adfd`, `run/eval_set.adfd` and `oracle/eval_set.adfd`) and
-every line they print must match byte for byte. A file written on one side
+every line they print must match byte for byte.
+
+On each side, one more process then calls `adflow.cli.main` twice: an
+extract with `--max-nfe 1` into `reuse_first.wav`, then the extract above
+into `reuse.wav`. The second call must print what the extract subprocess
+printed and write `reuse.wav` byte-identical to its `extract.wav`, so
+state left over from an earlier call in one process shows as `REUSE
+DIFFERS`. A file written on one side
 only is reported as `ONLY IN <side>: path`. For each CSV that differs, it
 prints the largest relative difference over its numeric cells and the
 column it occurs in, and for each checkpoint that differs, the largest
 relative difference over the values of its tensors and the index of the
 tensor, so an intended numeric change shows its size. Exits 0 when all
-match, 1 on any difference, a one-sided file included.
+match, 1 on any difference, a one-sided file or a reuse difference
+included.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -43,13 +51,37 @@ output_dir = run
 """
 
 DATA = "run/dataset/item_0000"
+
+
+def extract(out_wav: str) -> list:
+    return ["extract", "--in", f"{DATA}_x.wav", "--enroll", f"{DATA}_e.wav",
+            "--out-wav", out_wav, "--reference", f"{DATA}_s1.wav"]
+
+
 COMMANDS = (
     ["gen-data"], ["train-vel"], ["train-mr"], ["ablate"], ["nfe-sweep"],
     ["nfe-sweep", "--field", "oracle", "--checkpoints", "run",
      "--out", "oracle"],
-    ["extract", "--in", f"{DATA}_x.wav", "--enroll", f"{DATA}_e.wav",
-     "--out-wav", "extract.wav", "--reference", f"{DATA}_s1.wav"],
+    extract("extract.wav"),
 )
+
+
+def with_config(command: list) -> list:
+    return [command[0], "--config", "run.cfg", *command[1:]]
+
+
+# Two extract requests through one process; the second one's printed output
+# follows the marker line.
+REUSE_FIRST = with_config(extract("reuse_first.wav")) + ["--max-nfe", "1"]
+REUSE_SECOND = with_config(extract("reuse.wav"))
+REUSE_MARKER = "--- second call\n"
+REUSE_DRIVER = f"""\
+import sys
+from adflow.cli import main
+code = main({REUSE_FIRST!r})
+print({REUSE_MARKER!r}, end="", flush=True)
+sys.exit(code or main({REUSE_SECOND!r}))
+"""
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -60,22 +92,33 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_commands(src: Path, work: Path) -> str:
-    """Run every command in `work` against the package in `src`; the output."""
+def run_commands(src: Path, work: Path) -> tuple:
+    """Run every command in `work` against the package in `src`, then the
+    reuse driver; (the commands' printed output, what the driver's second
+    call did differently from the extract subprocess)."""
     work.mkdir()
     (work / "run.cfg").write_text(CONFIG, "utf-8")
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    printed = []
-    for command in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "adflow", command[0],
-                               "--config", "run.cfg", *command[1:]],
-                              cwd=work, env=env, capture_output=True,
-                              text=True)
+
+    def run(argv: list, what: str) -> str:
+        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
         if proc.returncode != 0:
-            sys.exit(f"{src}: adflow {' '.join(command)} exited "
-                     f"{proc.returncode}\n{proc.stderr}")
-        printed.append(proc.stdout)
-    return "".join(printed)
+            sys.exit(f"{src}: {what} exited {proc.returncode}\n"
+                     f"{proc.stderr}")
+        return proc.stdout
+
+    printed = [run(["-m", "adflow", *with_config(command)],
+                   "adflow " + " ".join(command)) for command in COMMANDS]
+    second = run(["-c", REUSE_DRIVER], "the reuse driver").split(
+        REUSE_MARKER, 1)[1]
+    reuse = []
+    if second != printed[-1]:
+        reuse.append("printed output")
+    if (work / "reuse.wav").read_bytes() != \
+            (work / "extract.wav").read_bytes():
+        reuse.append("reuse.wav")
+    return "".join(printed), reuse
 
 
 def files_under(root: Path) -> dict:
@@ -155,8 +198,8 @@ def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         rev_src = export_src(rev, tmp / "rev")
-        printed_new = run_commands(REPO / "src", tmp / "new")
-        printed_old = run_commands(rev_src, tmp / "old")
+        printed_new, reuse_new = run_commands(REPO / "src", tmp / "new")
+        printed_old, reuse_old = run_commands(rev_src, tmp / "old")
         new, old = files_under(tmp / "new"), files_under(tmp / "old")
     paths = sorted(new.keys() | old.keys())
     differ = [p for p in paths if new.get(p) != old.get(p)]
@@ -173,6 +216,11 @@ def main(rev: str) -> int:
     if printed_new != printed_old:
         differ.append("printed output")
         print("DIFFERS: printed output")
+    for side, reuse in (("working tree", reuse_new), (rev, reuse_old)):
+        for what in reuse:
+            print(f"REUSE DIFFERS in {side}: {what} of the second in-process "
+                  "extract")
+            differ.append(what)
     print(f"{len(paths)} files and the printed output compared with {rev}: "
           + (f"{len(differ)} differ" if differ else "all byte-identical"))
     print(printed_new, end="")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,14 +26,21 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (DatasetConfig, make_dataset, read_wav, spectral_record,
-                     write_tensor, write_wav)
+from .signal import (DatasetConfig, _stft_frames, make_dataset, read_wav,
+                     spectral_record, write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
 # Largest waveform a config may ask for: 2^24 samples (about 17 minutes at
 # 16 kHz) is 128 MB per float64 waveform.
 MAX_WAVEFORM_SAMPLES = 2 ** 24
+
+# Largest max_nfe a config may ask for (the NFE sweep goes up to 20).
+MAX_NFE = 1000
+
+# Largest STFT of one waveform, in frames x n_fft values, a config may ask
+# for; at the default 256/64 framing every allowed duration fits.
+MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
 
 
 @dataclass
@@ -96,6 +104,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
+    """The config in `path` (defaults if None), with `overrides` applied.
+
+    The config is checked as a whole, for every command, so a value that any
+    command would reject raises ConfigError here, before anything is written
+    or allocated.
+    """
     values = {}
     if path is not None:
         try:
@@ -107,17 +121,33 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _coerce(key, str(value))
     cfg = RunConfig(**values)
-    if cfg.sample_rate_hz <= 0:
-        raise ConfigError(f"sample_rate_hz must be positive, got "
-                          f"{cfg.sample_rate_hz}")
+    for key in ("n_train", "n_eval", "sample_rate_hz"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be positive, got "
+                              f"{getattr(cfg, key)}")
     try:
         n_samples = round(cfg.duration_s * cfg.sample_rate_hz)
     except OverflowError:  # the product is past float range
         n_samples = math.inf
-    if n_samples > MAX_WAVEFORM_SAMPLES:
+    if not 1 <= n_samples <= MAX_WAVEFORM_SAMPLES:
         raise ConfigError(f"duration_s={cfg.duration_s!r} at "
-                          f"{cfg.sample_rate_hz} Hz asks for more than "
-                          f"{MAX_WAVEFORM_SAMPLES} samples per waveform")
+                          f"{cfg.sample_rate_hz} Hz asks for {n_samples} "
+                          f"samples per waveform, outside 1 to "
+                          f"{MAX_WAVEFORM_SAMPLES}")
+    if cfg.max_nfe > MAX_NFE:
+        raise ConfigError(f"max_nfe={cfg.max_nfe} is above {MAX_NFE}")
+    try:
+        # each of these checks its own fields
+        _train_config(cfg)
+        _path_params(cfg)
+        _nfe_policy(cfg)
+        stft_values = _stft_frames(n_samples, cfg.n_fft, cfg.hop) * cfg.n_fft
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    if stft_values > MAX_STFT_VALUES:
+        raise ConfigError(f"n_fft={cfg.n_fft}, hop={cfg.hop} gives "
+                          f"{stft_values} STFT values per waveform, above "
+                          f"{MAX_STFT_VALUES}")
     return cfg
 
 
@@ -144,6 +174,10 @@ def _train_config(cfg: RunConfig) -> velnet.TrainConfig:
 def _path_params(cfg: RunConfig) -> flowpath.PathParams:
     return flowpath.PathParams(sigma_min=cfg.sigma_min,
                                sigma_max=cfg.sigma_max)
+
+
+def _nfe_policy(cfg: RunConfig) -> sampler.NfePolicy:
+    return sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
 
 
 # Each set is stored in the output directory, so the commands that share
@@ -284,7 +318,7 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg, out)
     pp = _path_params(cfg)
-    policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
+    policy = _nfe_policy(cfg)
     rand_rng = np.random.default_rng(cfg.seed + 4242)
     rand_taus = rand_rng.uniform(size=len(items))
 
@@ -409,7 +443,7 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     x = _read_wav_at(in_path, net.sample_rate_hz)
     e = _read_wav_at(enroll_path, net.sample_rate_hz)
     xr, er = _records(cfg, x, e)
-    policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
+    policy = _nfe_policy(cfg)
     est, tau_hat, nfe = sampler.extract_adaptive(
         x, e, sampler.fixed_mr(mrnet.mr_predict(reg, xr, er)),
         sampler.NetField(net, er), policy)
@@ -457,7 +491,12 @@ def _overrides_from(args) -> dict:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one. Sharing it is safe: parsing never changes the parser, each parse
+    fills a new Namespace, and `--set`'s append action copies its default
+    list before appending."""
     parser = argparse.ArgumentParser(
         prog="adflow",
         description="Adaptive mixing-ratio flow matching for target-source "

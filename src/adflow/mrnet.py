@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, FileFormatError
+from .errors import DegenerateInputError
 # stft, stats_features, AdamW and clip_gradients are bound here by name only
 # so that perfbench's tracer, which rebinds them in this module, finds them:
 # spectra come from spectral_record and training runs in velnet.fit.
 from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
                      spectral_record, stft, write_tensor_stream)
-from .velnet import (AdamW, TrainConfig, clip_gradients, fit,  # noqa: F401
-                     stats_features)
+from .velnet import (AdamW, TrainConfig, _read_header,  # noqa: F401
+                     clip_gradients, fit, stats_features)
 
 # Logit bound keeping sigmoid strictly inside (0,1) in float64.
 _LOGIT_CLIP = 30.0
@@ -178,22 +178,14 @@ def save_mrnet(path, reg: MrRegressor) -> None:
 def load_mrnet(path) -> MrRegressor:
     """Read a checkpoint; a malformed one raises FileFormatError.
 
-    Headers written before `sample_rate_hz` existed read as 16 kHz. The
-    float32 tensors are upcast: the regressor computes in float64, which
+    The float32 tensors are upcast: the regressor computes in float64, which
     costs little next to the velocity field and keeps tau_hat as it was.
     """
     with open(path, "rb") as f:
-        try:
-            header = f.readline().decode("ascii").strip()
-            if not header.startswith(_MR_HEADER):
-                raise FileFormatError(f"{path}: not an MR-regressor checkpoint")
-            kv = dict(tok.split("=") for tok in header.split()[2:])
-            embed, hidden = int(kv["embed_dim"]), int(kv["hidden_dim"])
-            n_fft, hop = int(kv["feat_n_fft"]), int(kv["feat_hop"])
-            rate = int(kv.get("sample_rate_hz", DEFAULT_SAMPLE_RATE))
-        except (ValueError, KeyError) as exc:
-            raise FileFormatError(f"{path}: bad checkpoint header "
-                                  f"({exc!r})") from exc
+        embed, hidden, n_fft, hop, rate = _read_header(
+            f, path, _MR_HEADER, lambda kv: [int(kv[k]) for k in (
+                "embed_dim", "hidden_dim", "feat_n_fft", "feat_hop",
+                "sample_rate_hz")])
         shapes = [(embed, 3 * (n_fft // 2 + 1) + 1), (embed,),
                   (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
         tensors = [read_tensor_stream(f, shape).astype(np.float64)

@@ -394,7 +394,13 @@ def _cached_window(n_fft: int) -> np.ndarray:
     return win
 
 
-def _n_frames(n: int, n_fft: int, hop: int) -> int:
+def _stft_frames(n: int, n_fft: int, hop: int) -> int:
+    """Frame count of `stft` over n samples; raises ParameterError for a
+    framing it cannot run."""
+    if hop < 1 or n_fft < 2:
+        raise ParameterError("n_fft and hop must be positive")
+    if n_fft < 2 * hop:
+        raise ParameterError("COLA violation: need n_fft >= 2*hop for Hann")
     if n <= n_fft:
         return 1
     return int(np.ceil((n - n_fft) / hop)) + 1
@@ -402,13 +408,9 @@ def _n_frames(n: int, n_fft: int, hop: int) -> int:
 
 def stft(w: Waveform, n_fft: int = 256, hop: int = 64) -> Spectrogram:
     """Hann-windowed STFT; frames start at sample 0, zero-padded at the end."""
-    if hop < 1 or n_fft < 2:
-        raise ParameterError("n_fft and hop must be positive")
-    if n_fft < 2 * hop:
-        raise ParameterError("COLA violation: need n_fft >= 2*hop for Hann")
     x = w.samples
+    nf = _stft_frames(x.size, n_fft, hop)
     win = _cached_window(n_fft)
-    nf = _n_frames(x.size, n_fft, hop)
     padded = np.zeros((nf - 1) * hop + n_fft)
     padded[:x.size] = x
     windowed = sliding_window_view(padded, n_fft)[::hop] * win
@@ -525,12 +527,14 @@ def write_tensor_stream(f, arr: np.ndarray) -> None:
     f.write(arr.tobytes(order="C"))
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+def _read_exact(f, buf):
+    """Fill `buf`, a bytearray or an array, from `f`; return it."""
+    n = memoryview(buf).nbytes
+    got = f.readinto(buf)
+    if got != n:
         raise FileFormatError(f"truncated tensor: expected {n} bytes, "
-                              f"got {len(data)}")
-    return data
+                              f"got {got}")
+    return buf
 
 
 def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
@@ -540,10 +544,10 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
     magic = f.read(4)
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
-    (rank,) = struct.unpack("<I", _read_exact(f, 4))
+    (rank,) = struct.unpack("<I", _read_exact(f, bytearray(4)))
     if rank > _MAX_TENSOR_RANK:
         raise FileFormatError(f"tensor rank {rank} exceeds {_MAX_TENSOR_RANK}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    dims = struct.unpack(f"<{rank}I", _read_exact(f, bytearray(4 * rank)))
     if shape is not None and dims != tuple(shape):
         raise FileFormatError(f"tensor shape {dims} != expected {tuple(shape)}")
     count = math.prod(dims)
@@ -553,10 +557,10 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
     if 4 * count > left:
         raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
                               f"but only {left} are left")
-    data = np.frombuffer(_read_exact(f, 4 * count), dtype="<f4", count=count)
+    data = _read_exact(f, np.empty(dims, "<f4"))
     if not np.all(np.isfinite(data)):
         raise FileFormatError(f"tensor of dims {dims} holds non-finite values")
-    return data.reshape(dims).astype(np.float32)
+    return data
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

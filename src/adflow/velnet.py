@@ -407,6 +407,22 @@ def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
 _VEL_HEADER = "ADFLOW-VELNET v1"
 
 
+def _read_header(f, path, magic: str, parse):
+    """`parse(kv)` of a checkpoint's `key=value` header line (a header
+    without `sample_rate_hz` reads as 16 kHz); a malformed header raises
+    FileFormatError."""
+    try:
+        header = f.readline().decode("ascii").strip()
+        if not header.startswith(magic):
+            raise FileFormatError(f"{path}: not an {magic} checkpoint")
+        kv = {"sample_rate_hz": str(DEFAULT_SAMPLE_RATE)}
+        kv.update(tok.split("=") for tok in header.split()[2:])
+        return parse(kv)
+    except (ValueError, KeyError) as exc:
+        raise FileFormatError(f"{path}: bad checkpoint header "
+                              f"({exc!r})") from exc
+
+
 def save_velnet(path, net: VelocityNet) -> None:
     dims = ",".join(str(d) for d in net.layer_dims)
     header = (f"{_VEL_HEADER} dims={dims} frame_len={net.frame_len} "
@@ -424,26 +440,19 @@ def save_velnet(path, net: VelocityNet) -> None:
 def load_velnet(path) -> VelocityNet:
     """Read a checkpoint; a malformed one raises FileFormatError.
 
-    Headers written before `sample_rate_hz` existed read as 16 kHz. Tensors
-    stay float32, so the loaded net computes in float32.
+    Tensors stay float32, so the loaded net computes in float32.
     """
+    def parse(kv):
+        return ([int(d) for d in kv["dims"].split(",")],
+                dict(frame_len=int(kv["frame_len"]),
+                     tau_embed_dim=int(kv["tau_dim"]),
+                     enroll_embed_dim=int(kv["enroll_dim"]),
+                     feat_n_fft=int(kv["feat_n_fft"]),
+                     feat_hop=int(kv["feat_hop"]),
+                     sample_rate_hz=int(kv["sample_rate_hz"])))
+
     with open(path, "rb") as f:
-        try:
-            header = f.readline().decode("ascii").strip()
-            if not header.startswith(_VEL_HEADER):
-                raise FileFormatError(f"{path}: not a velocity-net checkpoint")
-            kv = dict(tok.split("=") for tok in header.split()[2:])
-            dims = [int(d) for d in kv["dims"].split(",")]
-            meta = dict(frame_len=int(kv["frame_len"]),
-                        tau_embed_dim=int(kv["tau_dim"]),
-                        enroll_embed_dim=int(kv["enroll_dim"]),
-                        feat_n_fft=int(kv["feat_n_fft"]),
-                        feat_hop=int(kv["feat_hop"]),
-                        sample_rate_hz=int(kv.get("sample_rate_hz",
-                                                  DEFAULT_SAMPLE_RATE)))
-        except (ValueError, KeyError) as exc:
-            raise FileFormatError(f"{path}: bad checkpoint header "
-                                  f"({exc!r})") from exc
+        dims, meta = _read_header(f, path, _VEL_HEADER, parse)
         frame_len = meta["frame_len"]
         in_dim = 3 * frame_len + meta["enroll_embed_dim"] + \
             meta["tau_embed_dim"]

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import re
@@ -99,19 +100,40 @@ def test_exit_code_config_error(tmp_path):
     assert main(["gen-data", "--config", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("command, args", [
-    ("train-vel", ["--seed", "-1"]),
-    ("train-mr", ["--seed", "-1"]),
-    ("gen-data", ["--set", "duration_s=nan"]),
-    ("gen-data", ["--set", "duration_s=inf"]),
-    ("train-vel", ["--set", "lr_init=-inf"]),
-    ("gen-data", ["--set", "duration_s=1e300"]),
-    ("gen-data", ["--set", "duration_s=1e5"]),
-    ("gen-data", ["--set", "sample_rate_hz=0"]),
-], ids=["train_vel_negative_seed", "train_mr_negative_seed",
-        "duration_nan", "duration_inf", "lr_init_minus_inf",
-        "duration_1e300", "duration_past_sample_cap", "sample_rate_zero"])
-def test_exit_code_bad_config_value(tmp_path, capsys, command, args):
+BAD_CONFIG_VALUES = {
+    "train_vel_negative_seed": ("train-vel", ["--seed", "-1"]),
+    "train_mr_negative_seed": ("train-mr", ["--seed", "-1"]),
+    "duration_nan": ("gen-data", ["--set", "duration_s=nan"]),
+    "duration_inf": ("gen-data", ["--set", "duration_s=inf"]),
+    "lr_init_minus_inf": ("train-vel", ["--set", "lr_init=-inf"]),
+    "duration_1e300": ("gen-data", ["--set", "duration_s=1e300"]),
+    "duration_past_sample_cap": ("gen-data", ["--set", "duration_s=1e5"]),
+    "sample_rate_zero": ("gen-data", ["--set", "sample_rate_hz=0"]),
+    "duration_zero": ("gen-data", ["--set", "duration_s=0"]),
+    "duration_negative": ("gen-data", ["--set", "duration_s=-1"]),
+    "duration_under_one_sample": ("gen-data", ["--set", "duration_s=1e-9"]),
+    "n_eval_zero": ("gen-data", ["--set", "n_eval=0"]),
+    "n_train_zero": ("train-vel", ["--set", "n_train=0"]),
+    "gen_data_epochs_zero": ("gen-data", ["--set", "epochs=0"]),
+    "epochs_zero": ("train-mr", ["--set", "epochs=0"]),
+    "t_max_epochs_zero": ("train-mr", ["--set", "t_max_epochs=0"]),
+    "lr_init_negative": ("train-mr", ["--set", "lr_init=-1"]),
+    "grad_clip_zero": ("train-mr", ["--set", "grad_clip=0"]),
+    "batch_size_zero": ("train-mr", ["--set", "batch_size=0"]),
+    "max_nfe_zero": ("ablate", ["--set", "max_nfe=0"]),
+    "max_nfe_past_cap": ("ablate", ["--max-nfe", str(cli.MAX_NFE + 1)]),
+    "epsilon_half": ("ablate", ["--set", "epsilon=0.5"]),
+    "hop_zero": ("ablate", ["--set", "hop=0"]),
+    "n_fft_cola": ("ablate", ["--set", "n_fft=100"]),
+    "stft_past_cap": ("ablate", ["--n-fft", str(cli.MAX_STFT_VALUES + 2),
+                                 "--hop", "64"]),
+    "sigma_min_negative": ("ablate", ["--set", "sigma_min=-1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_exit_code_bad_config_value(tmp_path, capsys, case):
+    command, args = BAD_CONFIG_VALUES[case]
     assert main([command, "--out", str(tmp_path), *args]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not any(tmp_path.iterdir())
@@ -124,6 +146,29 @@ def test_load_config_sample_cap_is_inclusive():
         cli.MAX_WAVEFORM_SAMPLES
     with pytest.raises(ConfigError, match="samples per waveform"):
         load_config(None, {"duration_s": str(cap.duration_s + 1e-4)})
+
+
+# Each pair sits at a cap and one past it. Only load_config sees these
+# values: a command run at the cap would allocate gigabytes.
+CAPS = {
+    "max_nfe": ({"max_nfe": cli.MAX_NFE}, "max_nfe"),
+    # one frame of n_fft samples: the 8000-sample default waveform is shorter
+    "stft_n_fft": ({"n_fft": cli.MAX_STFT_VALUES,
+                    "hop": cli.MAX_STFT_VALUES // 2}, "n_fft"),
+    # 2^18 frames of 256 at hop 1 need 2^18 + 255 samples
+    "stft_frames": ({"n_fft": 256, "hop": 1, "duration_s": 1.0,
+                     "sample_rate_hz": 2 ** 18 + 255}, "sample_rate_hz"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPS))
+def test_load_config_caps_are_inclusive(case):
+    at_cap, key = CAPS[case]
+    load_config(None, {k: str(v) for k, v in at_cap.items()})
+    past = {k: str(v) for k, v in at_cap.items()}
+    past[key] = str(at_cap[key] + 1)
+    with pytest.raises(ConfigError, match="above"):
+        load_config(None, past)
 
 
 def test_exit_code_io_error(tmp_path):
@@ -416,6 +461,69 @@ def test_extract_end_to_end(run_dir, tmp_path):
     assert result["lsd_db"] == metrics.lsd(est2, ref, cfg.n_fft, cfg.hop)
 
 
+def _python_env() -> dict:
+    """The environment for a subprocess that imports this adflow."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_extract_reuse_matches_fresh_process(run_dir, tmp_path, capsys):
+    # two requests in one process, the first with other settings: the
+    # second must print and write what a fresh process does. max_nfe=20
+    # takes several steps on these items, where the config's 3 takes one.
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+
+    def extract(item, out_wav):
+        return ["extract", "--config", str(run_dir / "run.cfg"),
+                "--checkpoints", cfg.output_dir,
+                "--in", str(data / f"item_{item}_x.wav"),
+                "--enroll", str(data / f"item_{item}_e.wav"),
+                "--out-wav", str(tmp_path / out_wav)]
+
+    assert main([*extract("0000", "first.wav"), "--set", "max_nfe=20",
+                 "--reference", str(data / "item_0000_s1.wav")]) == 0
+    capsys.readouterr()
+    assert main(extract("0001", "second.wav")) == 0
+    printed = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "adflow",
+                            *extract("0001", "fresh.wav")],
+                           env=_python_env(), check=True, timeout=600,
+                           capture_output=True, text=True)
+    assert printed == fresh.stdout
+    assert (tmp_path / "second.wav").read_bytes() == \
+        (tmp_path / "fresh.wav").read_bytes()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    argv = ["gen-data", "--out", str(tmp_path), "--set", "n_eval=0"]
+    assert main(argv) == 2
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 2
+    assert main(["ablate", "--out", str(tmp_path), "--max-nfe", "0"]) == 2
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["extract", "--enroll", "e.wav", "--out-wav", "o.wav"],
+], ids=["unknown_command", "extract_without_in"])
+def test_argparse_error_exits_2_on_every_call(argv, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def _set_fmt_chunk_size(data: bytes) -> bytes:
     # a fmt chunk size past the end of the file
     return data[:16] + (2 ** 31).to_bytes(4, "little") + data[20:]
@@ -504,13 +612,10 @@ def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
 
 
 def test_ablate_independent_of_blas_threads(run_dir, tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(_python_env(), OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "adflow", "ablate",
                         "--config", str(run_dir / "run.cfg"),
                         "--checkpoints", _cfg(run_dir).output_dir,
