@@ -12,12 +12,13 @@ WAVs, ADFT tensors, effective configs, and the dataset stores
 every line they print must match byte for byte.
 
 On each side, one more process then calls `adflow.cli.main` twice: an
-extract with `--max-nfe 1` into `reuse_first.wav`, then the extract above
-into `reuse.wav`. The second call must print what the extract subprocess
-printed and write `reuse.wav` byte-identical to its `extract.wav`, so
-state left over from an earlier call in one process shows as `REUSE
-DIFFERS`. A file written on one side
-only is reported as `ONLY IN <side>: path`. For each CSV that differs, it
+extract with `--max-nfe 1 --n-fft 510 --hop 128` into `reuse_first.wav`,
+whose records then use a second STFT framing besides the checkpoints'
+one, then the extract above into `reuse.wav`. The second call must print
+what the extract subprocess printed and write `reuse.wav` byte-identical
+to its `extract.wav`, so state left over from an earlier call in one
+process shows as `REUSE DIFFERS`. A file written on one side only is
+reported as `ONLY IN <side>: path`. For each CSV that differs, it
 prints the largest relative difference over its numeric cells and the
 column it occurs in, and for each checkpoint that differs, the largest
 relative difference over the values of its tensors and the index of the
@@ -72,7 +73,8 @@ def with_config(command: list) -> list:
 
 # Two extract requests through one process; the second one's printed output
 # follows the marker line.
-REUSE_FIRST = with_config(extract("reuse_first.wav")) + ["--max-nfe", "1"]
+REUSE_FIRST = with_config(extract("reuse_first.wav")) + [
+    "--max-nfe", "1", "--n-fft", "510", "--hop", "128"]
 REUSE_SECOND = with_config(extract("reuse.wav"))
 REUSE_MARKER = "--- second call\n"
 REUSE_DRIVER = f"""\

@@ -42,6 +42,11 @@ MAX_NFE = 1000
 # for; at the default 256/64 framing every allowed duration fits.
 MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
 
+# Largest n_fft a config may ask for. The nets grow with n_fft alone:
+# mrnet's first layer holds 64 x (3 x (n_fft // 2 + 1) + 1) float64 weights,
+# about 50 MB at this cap.
+MAX_N_FFT = 2 ** 16
+
 
 @dataclass
 class RunConfig:
@@ -136,6 +141,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
                           f"{MAX_WAVEFORM_SAMPLES}")
     if cfg.max_nfe > MAX_NFE:
         raise ConfigError(f"max_nfe={cfg.max_nfe} is above {MAX_NFE}")
+    if cfg.n_fft > MAX_N_FFT:
+        raise ConfigError(f"n_fft={cfg.n_fft} is above {MAX_N_FFT}")
     try:
         # each of these checks its own fields
         _train_config(cfg)

@@ -8,10 +8,12 @@ amplitude ratio between target and background.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
 import struct
+import threading
 import wave
 import zlib
 from dataclasses import dataclass
@@ -406,15 +408,79 @@ def _stft_frames(n: int, n_fft: int, hop: int) -> int:
     return int(np.ceil((n - n_fft) / hop)) + 1
 
 
-def stft(w: Waveform, n_fft: int = 256, hop: int = 64) -> Spectrogram:
-    """Hann-windowed STFT; frames start at sample 0, zero-padded at the end."""
+# Largest workspace (see `_workspace`) a thread keeps between calls, in
+# bytes; at 8,000 samples with 256/64 framing one takes about 0.76 MB.
+_WORKSPACE_MAX_BYTES = 16 * 2 ** 20
+
+# Workspaces a thread keeps, the least recently used dropped first.
+_WORKSPACES_PER_THREAD = 4
+
+_thread_state = threading.local()
+
+
+class _Workspace:
+    """The intermediate arrays of `stft` and `spectral_record` for one
+    (n_samples, n_fft, hop): the zero-padded signal, whose tail past the
+    samples is never written and stays zero, the windowed frames, the
+    complex spectrum and |X| (both (bins, frames), F-ordered like the
+    transposed `rfft` output), and the squared samples."""
+
+    __slots__ = ("padded", "windowed", "spec", "mag", "sq")
+
+    def __init__(self, n: int, n_fft: int, hop: int):
+        nf = _stft_frames(n, n_fft, hop)
+        self.padded = np.zeros((nf - 1) * hop + n_fft)
+        self.windowed = np.empty((nf, n_fft))
+        self.spec = np.empty((nf, n_fft // 2 + 1), dtype=np.complex128).T
+        self.mag = np.empty((nf, n_fft // 2 + 1)).T
+        self.sq = np.empty(n)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
+
+def _thread_workspaces() -> collections.OrderedDict:
+    """This thread's kept workspaces by (n_samples, n_fft, hop), oldest
+    first; created on first use."""
+    cache = getattr(_thread_state, "workspaces", None)
+    if cache is None:
+        cache = _thread_state.workspaces = collections.OrderedDict()
+    return cache
+
+
+def _workspace(n: int, n_fft: int, hop: int) -> _Workspace:
+    """This thread's workspace for an STFT of n samples. One above
+    `_WORKSPACE_MAX_BYTES` is new on every call and not kept."""
+    key = (n, n_fft, hop)
+    cache = _thread_workspaces()
+    ws = cache.get(key)
+    if ws is not None:
+        cache.move_to_end(key)
+        return ws
+    ws = _Workspace(n, n_fft, hop)
+    if ws.nbytes <= _WORKSPACE_MAX_BYTES:
+        cache[key] = ws
+        if len(cache) > _WORKSPACES_PER_THREAD:
+            cache.popitem(last=False)
+    return ws
+
+
+def stft(w: Waveform, n_fft: int = 256, hop: int = 64,
+         out: np.ndarray | None = None) -> Spectrogram:
+    """Hann-windowed STFT; frames start at sample 0, zero-padded at the end.
+
+    The spectrum is written to `out`, a (bins, frames) complex array, when
+    given, and to a new array otherwise.
+    """
     x = w.samples
-    nf = _stft_frames(x.size, n_fft, hop)
+    ws = _workspace(x.size, n_fft, hop)
     win = _cached_window(n_fft)
-    padded = np.zeros((nf - 1) * hop + n_fft)
-    padded[:x.size] = x
-    windowed = sliding_window_view(padded, n_fft)[::hop] * win
-    frames = np.fft.rfft(windowed, n=n_fft, axis=1).T
+    ws.padded[:x.size] = x
+    windowed = np.multiply(sliding_window_view(ws.padded, n_fft)[::hop], win,
+                           out=ws.windowed)
+    frames = np.fft.rfft(windowed, n=n_fft, axis=1,
+                         out=None if out is None else out.T).T
     return Spectrogram(frames=frames, n_fft=n_fft, hop=hop, window=win)
 
 
@@ -450,13 +516,27 @@ def spectral_record(w, n_fft: int = 256, hop: int = 64,
                                                  or not keep_db):
             return w
         w = w.wave
-    mag = np.abs(stft(w, n_fft, hop).frames)
-    logm = np.log(np.maximum(mag, 1e-8))
+    # Every intermediate lives in this thread's workspace; the record gets
+    # new arrays only. The operations are those of mag.mean(axis=1),
+    # 10*log10(mag + 1e-8), logm.mean(axis=1) and logm.std(axis=1), in
+    # the same order and on the same F-ordered layout, so the bytes match.
+    ws = _workspace(len(w), n_fft, hop)
+    mag = np.abs(stft(w, n_fft, hop, out=ws.spec).frames, out=ws.mag)
+    profile = mag.mean(axis=1)
+    db = None
+    if keep_db:
+        db = np.add(mag, 1e-8, out=np.empty_like(mag))
+        np.log10(db, out=db)
+        db *= 10.0
+    logm = np.log(np.maximum(mag, 1e-8, out=mag), out=mag)
+    mean = logm.mean(axis=1)
+    dev = np.subtract(logm, mean[:, None], out=logm)
+    var = np.multiply(dev, dev, out=dev).sum(axis=1)
+    var /= dev.shape[1]
     return SpectralRecord(
-        wave=w, n_fft=n_fft, hop=hop, profile=mag.mean(axis=1),
-        stats=np.concatenate([logm.mean(axis=1), logm.std(axis=1)]),
-        rms=np.sqrt(np.mean(w.samples ** 2)),
-        db=10.0 * np.log10(mag + 1e-8) if keep_db else None)
+        wave=w, n_fft=n_fft, hop=hop, profile=profile,
+        stats=np.concatenate([mean, np.sqrt(var, out=var)]),
+        rms=np.sqrt(np.mean(np.square(w.samples, out=ws.sq))), db=db)
 
 
 def istft(s: Spectrogram, out_len: int,

@@ -125,8 +125,11 @@ BAD_CONFIG_VALUES = {
     "epsilon_half": ("ablate", ["--set", "epsilon=0.5"]),
     "hop_zero": ("ablate", ["--set", "hop=0"]),
     "n_fft_cola": ("ablate", ["--set", "n_fft=100"]),
-    "stft_past_cap": ("ablate", ["--n-fft", str(cli.MAX_STFT_VALUES + 2),
-                                 "--hop", "64"]),
+    # 2^18 + 1 frames of 256 at hop 1: 0.5 s at 600 kHz is 300,000 samples
+    "stft_past_cap": ("ablate", ["--n-fft", "256", "--hop", "1",
+                                 "--set", "sample_rate_hz=600000"]),
+    "n_fft_past_cap": ("train-mr", ["--n-fft", str(cli.MAX_N_FFT + 2),
+                                    "--hop", "32"]),
     "sigma_min_negative": ("ablate", ["--set", "sigma_min=-1"]),
 }
 
@@ -152,9 +155,7 @@ def test_load_config_sample_cap_is_inclusive():
 # values: a command run at the cap would allocate gigabytes.
 CAPS = {
     "max_nfe": ({"max_nfe": cli.MAX_NFE}, "max_nfe"),
-    # one frame of n_fft samples: the 8000-sample default waveform is shorter
-    "stft_n_fft": ({"n_fft": cli.MAX_STFT_VALUES,
-                    "hop": cli.MAX_STFT_VALUES // 2}, "n_fft"),
+    "n_fft": ({"n_fft": cli.MAX_N_FFT}, "n_fft"),
     # 2^18 frames of 256 at hop 1 need 2^18 + 255 samples
     "stft_frames": ({"n_fft": 256, "hop": 1, "duration_s": 1.0,
                      "sample_rate_hz": 2 ** 18 + 255}, "sample_rate_hz"),
@@ -584,7 +585,8 @@ def test_extract_rate_differs_from_checkpoint(run_dir, tmp_path):
 # Work counts and determinism
 
 def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
-    # one STFT per waveform: x, e, s1 and each estimate of an item
+    # one STFT per waveform: x, e, s1 and each estimate of an item; exact,
+    # so a front end that bypasses stft cannot pass with 0
     calls = []
     real_stft = signal.stft
 
@@ -603,12 +605,12 @@ def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
         run()
         return len(calls) / items
 
-    assert per_item(lambda: cli.cmd_ablate(cfg, ck), cfg.n_eval) <= 13
-    assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) <= 8
+    assert per_item(lambda: cli.cmd_ablate(cfg, ck), cfg.n_eval) == 13
+    assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) == 8
     assert per_item(lambda: cli.cmd_extract(
         cfg, data / "item_0000_x.wav", data / "item_0000_e.wav",
         tmp_path / "o.wav", reference=data / "item_0000_s1.wav",
-        ckpt_dir=ck), 1) <= 4
+        ckpt_dir=ck), 1) == 4
 
 
 def test_ablate_independent_of_blas_threads(run_dir, tmp_path):

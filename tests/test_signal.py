@@ -1,10 +1,13 @@
 import struct
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from adflow import signal
 from adflow.errors import FileFormatError, ParameterError, ShapeError
@@ -343,6 +346,115 @@ def test_stft_cola_violation_rejected():
     w = Waveform(np.ones(512))
     with pytest.raises(ParameterError):
         stft(w, 256, 200)
+
+
+# ---------------------------------------------------------------------------
+# Spectral records and their per-thread workspace
+
+def _reference_record(w, n_fft, hop, keep_db):
+    """(profile, stats, rms, db) as spectral_record computed them with a
+    fresh array for every intermediate."""
+    n = len(w)
+    nf = 1 if n <= n_fft else int(np.ceil((n - n_fft) / hop)) + 1
+    padded = np.zeros((nf - 1) * hop + n_fft)
+    padded[:n] = w.samples
+    windowed = sliding_window_view(padded, n_fft)[::hop] * hann_window(n_fft)
+    mag = np.abs(np.fft.rfft(windowed, n=n_fft, axis=1).T)
+    logm = np.log(np.maximum(mag, 1e-8))
+    return (mag.mean(axis=1),
+            np.concatenate([logm.mean(axis=1), logm.std(axis=1)]),
+            np.sqrt(np.mean(w.samples ** 2)),
+            10.0 * np.log10(mag + 1e-8) if keep_db else None)
+
+
+def _record_bytes(values):
+    profile, stats, rms, db = values
+    return (profile.tobytes(), stats.tobytes(), np.float64(rms).tobytes(),
+            None if db is None else (db.tobytes(order="A"), db.shape,
+                                     db.flags.f_contiguous))
+
+
+def _bytes_of(rec):
+    return _record_bytes((rec.profile, rec.stats, rec.rms, rec.db))
+
+
+def _noise(n, seed):
+    return Waveform(np.random.default_rng(seed).standard_normal(n))
+
+
+FRAMINGS = ((256, 64), (510, 128), (64, 16))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 8000, 8001])
+@pytest.mark.parametrize("n_fft,hop", FRAMINGS)
+def test_spectral_record_matches_fresh_arrays(n, n_fft, hop):
+    w = _noise(n, n)
+    for keep_db in (False, True):
+        rec = signal.spectral_record(w, n_fft, hop, keep_db=keep_db)
+        assert _bytes_of(rec) == _record_bytes(
+            _reference_record(w, n_fft, hop, keep_db))
+
+
+def test_records_do_not_alias_the_workspace():
+    first = signal.spectral_record(_noise(8000, 1), keep_db=True)
+    kept = _bytes_of(first)
+    second = signal.spectral_record(_noise(8000, 2), keep_db=True)
+    assert _bytes_of(first) == kept
+    assert _bytes_of(second) != kept
+    ws = signal._thread_workspaces()[(8000, 256, 64)]
+    for arr in (first.profile, first.stats, first.db):
+        assert not any(np.shares_memory(arr, buf)
+                       for buf in (ws.padded, ws.windowed, ws.spec, ws.mag,
+                                   ws.sq))
+
+
+def test_records_from_threads_equal_sequential():
+    # neighbouring jobs share a workspace key but not their samples, so
+    # threads that shared one workspace would mix up their records
+    jobs = [(n, seed, n_fft, hop) for n in (255, 8000, 8001)
+            for n_fft, hop in FRAMINGS for seed in range(4)]
+
+    def run(job):
+        n, seed, n_fft, hop = job
+        return _bytes_of(signal.spectral_record(_noise(n, seed), n_fft, hop,
+                                                keep_db=True))
+
+    sequential = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                # the threads run every job, interleaved with each other
+                got = list(pool.map(run, jobs * workers, timeout=120))
+            assert got == sequential * workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_workspace_above_cap_is_not_kept():
+    n = 200_000
+    assert signal._Workspace(n, 256, 64).nbytes > signal._WORKSPACE_MAX_BYTES
+    w = _noise(n, 5)
+    rec = signal.spectral_record(w, keep_db=True)
+    assert _bytes_of(rec) == _record_bytes(_reference_record(w, 256, 64, True))
+    assert (n, 256, 64) not in signal._thread_workspaces()
+    # below the cap a thread keeps the most recently used few
+    for n in range(100, 100 + 2 * signal._WORKSPACES_PER_THREAD):
+        signal.spectral_record(_noise(n, n))
+    kept = signal._thread_workspaces()
+    assert len(kept) == signal._WORKSPACES_PER_THREAD
+    assert (n, 256, 64) in kept
+
+
+def test_plain_stft_not_changed_by_later_record():
+    w = _noise(8000, 7)
+    first, second = stft(w), stft(w)
+    assert not np.shares_memory(first.frames, second.frames)
+    frames = first.frames.copy()
+    signal.spectral_record(_noise(8000, 8), keep_db=True)
+    stft(_noise(8000, 9))
+    assert first.frames.tobytes() == frames.tobytes()
 
 
 # ---------------------------------------------------------------------------

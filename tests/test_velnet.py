@@ -335,6 +335,42 @@ def test_bias_exempt_from_weight_decay():
     assert np.array_equal(b, np.full(3, 1.0))
 
 
+def _reference_adamw(params, grads_per_step, lrs, weight_decay=0.01,
+                     b1=0.9, b2=0.999, eps=1e-8):
+    """AdamW with a fresh temporary for every intermediate."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (grads, lr) in enumerate(zip(grads_per_step, lrs), start=1):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            if p.ndim >= 2 and weight_decay > 0:
+                p *= 1.0 - lr * weight_decay
+            mi *= b1
+            mi += (1 - b1) * g
+            vi *= b2
+            vi += (1 - b2) * g ** 2
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    return m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_step_matches_fresh_temporaries(dtype):
+    rng = np.random.default_rng(3)
+    shapes = [(16, 40), (16,), (3, 16), (3,), (1,)]
+    params = [rng.normal(size=s).astype(dtype) for s in shapes]
+    steps = [[(rng.normal(size=s) * 10.0 ** rng.integers(-6, 2))
+              .astype(dtype) for s in shapes] for _ in range(50)]
+    lrs = [float(lr) for lr in rng.uniform(1e-5, 1e-2, size=50)]
+    ref = [p.copy() for p in params]
+    ref_m, ref_v = _reference_adamw(ref, steps, lrs)
+    opt = AdamW(params, weight_decay=0.01)
+    for grads, lr in zip(steps, lrs):
+        opt.step(params, grads, lr)
+    for got, want in zip([*params, *opt.m, *opt.v], [*ref, *ref_m, *ref_v]):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(lr_init=1e-5, lr_min=1e-4)
