@@ -5,10 +5,12 @@ Exports REV's `src/` with `git archive` into a temporary directory, then
 runs the same CLI commands on that export and on the working tree, each in
 its own subprocess with one BLAS thread and a fixed small config (seed 3,
 32 training items, 12 eval items of 0.5 s, 5 epochs): gen-data, train-vel,
-train-mr, ablate, nfe-sweep, nfe-sweep --field oracle and extract
---reference on one item. Every file they write (CSVs, SVG, checkpoints,
-WAVs, ADFT tensors, effective configs, and the dataset stores
-`run/train_set.adfd`, `run/eval_set.adfd` and `oracle/eval_set.adfd`) and
+train-mr, ablate, nfe-sweep, nfe-sweep --field oracle, ablate and
+nfe-sweep with `--set epsilon=0.09` (items whose tau_hat is at least 0.91
+then pass through in more lanes than `tau1`), and extract --reference on
+one item. Every file they write (CSVs, SVG, checkpoints, WAVs, ADFT tensors,
+effective configs, and the dataset stores `run/train_set.adfd`,
+`run/eval_set.adfd`, `oracle/eval_set.adfd` and `eps/eval_set.adfd`) and
 every line they print must match byte for byte.
 
 On each side, one more process then calls `adflow.cli.main` twice: an
@@ -63,6 +65,10 @@ COMMANDS = (
     ["gen-data"], ["train-vel"], ["train-mr"], ["ablate"], ["nfe-sweep"],
     ["nfe-sweep", "--field", "oracle", "--checkpoints", "run",
      "--out", "oracle"],
+    ["ablate", "--checkpoints", "run", "--out", "eps",
+     "--set", "epsilon=0.09"],
+    ["nfe-sweep", "--checkpoints", "run", "--out", "eps",
+     "--set", "epsilon=0.09"],
     extract("extract.wav"),
 )
 

@@ -35,6 +35,11 @@ NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 # 16 kHz) is 128 MB per float64 waveform.
 MAX_WAVEFORM_SAMPLES = 2 ** 24
 
+# Largest dataset a config may ask for, in items x samples per waveform:
+# 2^27 is 16,777 items of 0.5 s at 16 kHz, whose x, s1, e and b take about
+# 4 GB as float64.
+MAX_DATASET_SAMPLES = 2 ** 27
+
 # Largest max_nfe a config may ask for (the NFE sweep goes up to 20).
 MAX_NFE = 1000
 
@@ -139,6 +144,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
                           f"{cfg.sample_rate_hz} Hz asks for {n_samples} "
                           f"samples per waveform, outside 1 to "
                           f"{MAX_WAVEFORM_SAMPLES}")
+    for key in ("n_train", "n_eval"):
+        if getattr(cfg, key) * n_samples > MAX_DATASET_SAMPLES:
+            raise ConfigError(f"{key}={getattr(cfg, key)} items of "
+                              f"{n_samples} samples are above "
+                              f"{MAX_DATASET_SAMPLES} samples")
     if cfg.max_nfe > MAX_NFE:
         raise ConfigError(f"max_nfe={cfg.max_nfe} is above {MAX_NFE}")
     if cfg.n_fft > MAX_N_FFT:
@@ -306,14 +316,16 @@ def _scored_record(cfg: RunConfig, w):
     return spectral_record(w, cfg.n_fft, cfg.hop, keep_db=True)
 
 
-def _score(cfg: RunConfig, reg, score, est, x, s1, *report):
-    """`score` (metrics.scores or metrics.evaluate) of `est` vs the record s1.
+def _reference(cfg: RunConfig, reg, x, s1) -> metrics.Reference:
+    """The reference side of an item's scores; SIM compares mrnet embeddings."""
+    return metrics.reference(x, _scored_record(cfg, s1),
+                             lambda w: mrnet.mr_embed(reg, w))
 
-    SIM compares mrnet embeddings; LSD uses the cfg framing.
-    """
-    return score(_scored_record(cfg, est), x, s1,
-                 lambda w: mrnet.mr_embed(reg, w), *report,
-                 n_fft=cfg.n_fft, hop=cfg.hop)
+
+def _scores(cfg: RunConfig, ref: metrics.Reference, est) -> dict:
+    """Scores of `est`, a waveform or its scored record; LSD uses the cfg
+    framing."""
+    return metrics.scores(_scored_record(cfg, est), ref, cfg.n_fft, cfg.hop)
 
 
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
@@ -331,8 +343,11 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
 
     rows = []
     for i, item in enumerate(items):
-        x, e = _records(cfg, item.x, item.e)
-        s1 = _scored_record(cfg, item.s1)
+        # x's record is also the scored record of every passthrough estimate
+        x = _scored_record(cfg, item.x)
+        e = spectral_record(item.e, cfg.n_fft, cfg.hop)
+        ref = _reference(cfg, reg, item.x, item.s1)
+        passthrough = None
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
             "estimated": sampler.fixed_mr(mrnet.mr_predict(reg, x, e)),
@@ -349,8 +364,14 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
                 est, tau_hat, nfe = sampler.extract_adaptive(
                     item.x, item.e, sources[source_name], fields[field_name],
                     policy)
-                report = _score(cfg, reg, metrics.evaluate, est, item.x, s1,
-                                item.tau, tau_hat, nfe)
+                if nfe > 0:
+                    scored = _scores(cfg, ref, est)
+                else:  # a passthrough returns x's samples in every lane
+                    if passthrough is None:
+                        passthrough = _scores(cfg, ref, x)
+                    scored = passthrough
+                report = metrics.EvalReport(**scored, nfe_used=nfe,
+                                            tau_true=item.tau, tau_hat=tau_hat)
                 rows.append([str(i), source_name, field_name]
                             + report.csv_row())
     _write_csv(out / "ablation.csv",
@@ -410,14 +431,17 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
     for item in items:
         x, e = _records(cfg, item.x, item.e)
-        s1 = _scored_record(cfg, item.s1)
+        ref = _reference(cfg, reg, item.x, item.s1)
         fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
                else sampler.NetField(net, e))
-        source = sampler.fixed_mr(mrnet.mr_predict(reg, x, e))
-        for policy, scored in zip(policies, per_nfe):
-            est, _, _ = sampler.extract_adaptive(item.x, item.e, source, fld,
-                                                 policy)
-            scored.append(_score(cfg, reg, metrics.scores, est, item.x, s1))
+        budgets = sampler.extract_budgets(item.x, item.e,
+                                          mrnet.mr_predict(reg, x, e), fld,
+                                          policies)
+        by_nfe = {}  # budgets with one step count share one estimate
+        for (est, nfe), scored in zip(budgets, per_nfe):
+            if nfe not in by_nfe:
+                by_nfe[nfe] = _scores(cfg, ref, est)
+            scored.append(by_nfe[nfe])
 
     def mean(scored, key):
         return float(np.mean([sc[key] for sc in scored]))
@@ -458,9 +482,8 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     result = {"tau_hat": tau_hat, "nfe_used": nfe}
     print(f"tau_hat={tau_hat:.6f} nfe_used={nfe}")
     if reference is not None:
-        ref = _read_wav_at(reference, net.sample_rate_hz)
-        result.update(_score(cfg, reg, metrics.scores, est, x,
-                             _scored_record(cfg, ref)))
+        s1 = _read_wav_at(reference, net.sample_rate_hz)
+        result.update(_scores(cfg, _reference(cfg, reg, x, s1), est))
         print("si_sdr_db={si_sdr_db:.4f} "
               "si_sdr_improvement_db={si_sdr_improvement_db:.4f} "
               "lsd_db={lsd_db:.4f} sim_cosine={sim_cosine:.6f}"

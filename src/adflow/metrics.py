@@ -59,10 +59,14 @@ def lsd(est, ref_, n_fft: int = 256, hop: int = 64) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def sim(est, ref_, extractor) -> float:
-    """Cosine similarity between embeddings of estimate and reference."""
+def sim(est, ref_, extractor, ref_embedding=None) -> float:
+    """Cosine similarity between embeddings of estimate and reference.
+
+    `ref_embedding`, when given, is `extractor(ref_)` computed earlier.
+    """
     a = np.asarray(extractor(est), dtype=np.float64)
-    b = np.asarray(extractor(ref_), dtype=np.float64)
+    b = np.asarray(extractor(ref_) if ref_embedding is None
+                   else ref_embedding, dtype=np.float64)
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("zero-norm embedding")
@@ -93,17 +97,40 @@ class EvalReport:
                 repr(float(self.lsd_db)), repr(float(self.sim_cosine))]
 
 
-def scores(est, x, s1, extractor, n_fft: int = 256, hop: int = 64) -> dict:
-    """SI-SDR, its improvement over the mixture x, LSD and SIM of est vs s1."""
-    sdr = si_sdr(est, s1)
-    return {"si_sdr_db": sdr, "si_sdr_improvement_db": sdr - si_sdr(x, s1),
-            "lsd_db": lsd(est, s1, n_fft, hop),
-            "sim_cosine": sim(est, s1, extractor)}
+@dataclass(frozen=True)
+class Reference:
+    """The side of the scores that does not depend on the estimate."""
+
+    s1: object
+    extractor: object
+    embedding: np.ndarray     # extractor(s1)
+    mixture_si_sdr_db: float  # si_sdr(x, s1)
+
+
+def reference(x, s1, extractor) -> Reference:
+    """The reference side of scoring estimates of s1 from the mixture x.
+
+    Compute it once per item and score every estimate against it; an s1
+    record built with `keep_db=True` at the LSD framing lets its one STFT
+    serve LSD and SIM for all of them.
+    """
+    return Reference(s1, extractor,
+                     np.asarray(extractor(s1), dtype=np.float64),
+                     si_sdr(x, s1))
+
+
+def scores(est, ref: Reference, n_fft: int = 256, hop: int = 64) -> dict:
+    """SI-SDR, its improvement over the mixture, LSD and SIM of est vs s1."""
+    sdr = si_sdr(est, ref.s1)
+    return {"si_sdr_db": sdr,
+            "si_sdr_improvement_db": sdr - ref.mixture_si_sdr_db,
+            "lsd_db": lsd(est, ref.s1, n_fft, hop),
+            "sim_cosine": sim(est, ref.s1, ref.extractor, ref.embedding)}
 
 
 def evaluate(est: Waveform, x: Waveform, s1: Waveform, extractor,
              tau_true: float, tau_hat: float, nfe_used: int,
              n_fft: int = 256, hop: int = 64) -> EvalReport:
     """Assemble one report row for an extraction result."""
-    return EvalReport(**scores(est, x, s1, extractor, n_fft, hop),
+    return EvalReport(**scores(est, reference(x, s1, extractor), n_fft, hop),
                       nfe_used=nfe_used, tau_true=tau_true, tau_hat=tau_hat)

@@ -117,6 +117,36 @@ def extract(x: Waveform, e: Waveform, field, schedule: Schedule):
     return Waveform(cur, x.sample_rate_hz), schedule.nfe
 
 
+def extract_budgets(x: Waveform, e: Waveform, tau_hat: float, field,
+                    policies: list) -> list:
+    """`extract` under `build_schedule(tau_hat, p)` for each policy p.
+
+    Returns one (s1_hat, nfe_used) per policy, equal byte for byte to
+    separate `extract` calls. A schedule depends only on (tau_hat, N), so
+    each distinct N is integrated once and policies with the same N share
+    its result. Every schedule starts at tau_hat exactly and only there,
+    with a copy of x, so the field's velocity there is computed once.
+    """
+    first = []
+
+    def field_once_at_start(cur: np.ndarray, tau: float) -> np.ndarray:
+        if tau != tau_hat:
+            return field(cur, tau)
+        if not first:
+            first.append(field(cur, tau))
+        return first[0]
+
+    by_nfe = {}
+    out = []
+    for policy in policies:
+        schedule = build_schedule(tau_hat, policy)
+        if schedule.nfe not in by_nfe:
+            by_nfe[schedule.nfe] = extract(x, e, field_once_at_start,
+                                           schedule)
+        out.append(by_nfe[schedule.nfe])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mixing-ratio sources for adaptive extraction
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adflow import cli, metrics, mrnet, sampler, signal, velnet
+from adflow import cli, flowpath, metrics, mrnet, sampler, signal, velnet
 from adflow.cli import (RunConfig, load_config, main, parse_config_text)
 from adflow.errors import ConfigError
 from adflow.signal import make_dataset, read_wav, write_wav, DatasetConfig
@@ -131,6 +131,9 @@ BAD_CONFIG_VALUES = {
     "n_fft_past_cap": ("train-mr", ["--n-fft", str(cli.MAX_N_FFT + 2),
                                     "--hop", "32"]),
     "sigma_min_negative": ("ablate", ["--set", "sigma_min=-1"]),
+    # 16,778 items of 8,000 samples are past cli.MAX_DATASET_SAMPLES
+    "n_train_past_cap": ("train-vel", ["--set", "n_train=16778"]),
+    "n_eval_past_cap": ("gen-data", ["--set", "n_eval=16778"]),
 }
 
 
@@ -143,8 +146,10 @@ def test_exit_code_bad_config_value(tmp_path, capsys, case):
 
 
 def test_load_config_sample_cap_is_inclusive():
+    # 8 items of 2^24 samples also sit at cli.MAX_DATASET_SAMPLES
     cap = load_config(None, {"duration_s": str(cli.MAX_WAVEFORM_SAMPLES
-                                               / 16000)})
+                                               / 16000),
+                             "n_train": "8", "n_eval": "8"})
     assert round(cap.duration_s * cap.sample_rate_hz) == \
         cli.MAX_WAVEFORM_SAMPLES
     with pytest.raises(ConfigError, match="samples per waveform"):
@@ -159,6 +164,11 @@ CAPS = {
     # 2^18 frames of 256 at hop 1 need 2^18 + 255 samples
     "stft_frames": ({"n_fft": 256, "hop": 1, "duration_s": 1.0,
                      "sample_rate_hz": 2 ** 18 + 255}, "sample_rate_hz"),
+    # 2^17 items of 2^10 samples
+    "n_train": ({"n_train": 2 ** 17, "duration_s": 1.0,
+                 "sample_rate_hz": 2 ** 10}, "n_train"),
+    "n_eval": ({"n_eval": 2 ** 17, "duration_s": 1.0,
+                "sample_rate_hz": 2 ** 10}, "n_eval"),
 }
 
 
@@ -433,6 +443,146 @@ def test_nfe_sweep_oracle_field_flat(run_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# ablate and nfe-sweep against per-lane reference loops, which extract and
+# score every lane of an item on its own
+
+def _reference_setup(cfg):
+    ck = Path(cfg.output_dir)
+    items = make_dataset(cfg.n_eval, "uniform",
+                         DatasetConfig(duration_s=cfg.duration_s,
+                                       sample_rate_hz=cfg.sample_rate_hz),
+                         cfg.seed + 1)
+    return (velnet.load_velnet(ck / "velnet.ckpt"),
+            mrnet.load_mrnet(ck / "mrnet.ckpt"), items)
+
+
+def _reference_scores(cfg, reg, est, x, s1):
+    est = signal.spectral_record(est, cfg.n_fft, cfg.hop, keep_db=True)
+    sdr = metrics.si_sdr(est, s1)
+    return {"si_sdr_db": sdr, "si_sdr_improvement_db": sdr
+            - metrics.si_sdr(x, s1),
+            "lsd_db": metrics.lsd(est, s1, cfg.n_fft, cfg.hop),
+            "sim_cosine": metrics.sim(est, s1,
+                                      lambda w: mrnet.mr_embed(reg, w))}
+
+
+def _reference_records(cfg, item):
+    return [signal.spectral_record(w, cfg.n_fft, cfg.hop, keep_db=keep)
+            for w, keep in ((item.x, False), (item.e, False),
+                            (item.s1, True))]
+
+
+def _reference_ablation_csv(cfg) -> str:
+    net, reg, items = _reference_setup(cfg)
+    policy = sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
+    pp = flowpath.PathParams(sigma_min=cfg.sigma_min,
+                             sigma_max=cfg.sigma_max)
+    rand_taus = np.random.default_rng(cfg.seed + 4242).uniform(
+        size=len(items))
+    lines = [",".join(["item_id", "mr_source", "field",
+                       *metrics.REPORT_COLUMNS])]
+    for i, item in enumerate(items):
+        x, e, s1 = _reference_records(cfg, item)
+        sources = {"oracle": sampler.oracle_mr(item.s1, item.b),
+                   "estimated": sampler.fixed_mr(mrnet.mr_predict(reg, x, e)),
+                   "random": sampler.fixed_mr(float(rand_taus[i])),
+                   "tau1": sampler.fixed_mr(1.0),
+                   "tau0": sampler.fixed_mr(0.0)}
+        fields = {"oracle": sampler.OracleField(item.b, item.s1, pp),
+                  "net": sampler.NetField(net, e)}
+        for source in cli.ABLATION_SOURCES:
+            for field in ("oracle", "net"):
+                est, tau_hat, nfe = sampler.extract_adaptive(
+                    item.x, item.e, sources[source], fields[field], policy)
+                report = metrics.EvalReport(
+                    **_reference_scores(cfg, reg, est, item.x, s1),
+                    nfe_used=nfe, tau_true=item.tau, tau_hat=tau_hat)
+                lines.append(",".join([str(i), source, field,
+                                       *report.csv_row()]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_nfe_sweep_csv(cfg, field: str) -> str:
+    net, reg, items = _reference_setup(cfg)
+    pp = flowpath.PathParams(sigma_min=cfg.sigma_min,
+                             sigma_max=cfg.sigma_max)
+    per_nfe = [[] for _ in cli.NFE_SWEEP_VALUES]
+    for item in items:
+        x, e, s1 = _reference_records(cfg, item)
+        fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
+               else sampler.NetField(net, e))
+        source = sampler.fixed_mr(mrnet.mr_predict(reg, x, e))
+        for n, scored in zip(cli.NFE_SWEEP_VALUES, per_nfe):
+            est, _, _ = sampler.extract_adaptive(
+                item.x, item.e, source, fld,
+                sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon))
+            scored.append(_reference_scores(cfg, reg, est, item.x, s1))
+    lines = ["max_nfe,mean_si_sdr_db,mean_lsd_db,mean_sim_cosine"]
+    for n, scored in zip(cli.NFE_SWEEP_VALUES, per_nfe):
+        means = [float(np.mean([sc[k] for sc in scored])) for k in
+                 ("si_sdr_db", "lsd_db", "sim_cosine")]
+        lines.append(",".join([str(n), *map(repr, means)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("epsilon", ["0.001", "0.09"])
+def test_evaluation_matches_per_lane_reference(run_dir, tmp_path, epsilon):
+    # epsilon=0.09 passes items with tau_hat >= 0.91 through in more lanes
+    ck = _cfg(run_dir).output_dir
+    cfg = load_config(run_dir / "run.cfg", {"epsilon": epsilon})
+    args = ["--config", str(run_dir / "run.cfg"), "--checkpoints", ck,
+            "--set", f"epsilon={epsilon}"]
+    out = tmp_path / "out"
+    assert main(["ablate", *args, "--out", str(out)]) == 0
+    text = (out / "ablation.csv").read_text("utf-8")
+    assert text == _reference_ablation_csv(cfg)
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    col = {name: i for i, name in enumerate(header)}
+    passthrough = [r for r in rows if r[col["nfe_used"]] == "0"]
+    assert len(passthrough) >= 2 * cfg.n_eval  # tau1 under both fields
+    assert all(r[col["si_sdr_improvement_db"]] == "0.0" for r in passthrough)
+    for field in ("net", "oracle"):
+        assert main(["nfe-sweep", *args, "--field", field,
+                     "--out", str(tmp_path / field)]) == 0
+        assert (tmp_path / field / "nfe_sweep.csv").read_text("utf-8") \
+            == _reference_nfe_sweep_csv(cfg, field)
+
+
+@pytest.mark.parametrize("epsilon", ["0.001", "0.09"])
+def test_nfe_sweep_field_calls_per_item(run_dir, tmp_path, monkeypatch,
+                                        epsilon):
+    # every budget of an item shares the first velocity at (x, tau_hat), and
+    # budgets with one step count share one extraction
+    calls = []
+    real_velocity = velnet.velocity_signal
+    real_budgets = sampler.extract_budgets
+    per_item = []
+
+    def counting_velocity(*args, **kwargs):
+        calls.append(1)
+        return real_velocity(*args, **kwargs)
+
+    def counting_budgets(x, e, tau_hat, field, policies):
+        before = len(calls)
+        out = real_budgets(x, e, tau_hat, field, policies)
+        steps = {sampler.build_schedule(tau_hat, p).nfe
+                 for p in policies} - {0}
+        per_item.append((len(calls) - before,
+                         1 + sum(n - 1 for n in steps) if steps else 0))
+        return out
+
+    monkeypatch.setattr(velnet, "velocity_signal", counting_velocity)
+    monkeypatch.setattr(sampler, "extract_budgets", counting_budgets)
+    cfg = dataclasses.replace(load_config(run_dir / "run.cfg",
+                                          {"epsilon": epsilon}),
+                              output_dir=str(tmp_path))
+    cli.cmd_nfe_sweep(cfg, _cfg(run_dir).output_dir)
+    assert len(per_item) == cfg.n_eval
+    assert all(got == want for got, want in per_item)
+    assert len(calls) == sum(want for _, want in per_item)
+
+
+# ---------------------------------------------------------------------------
 # extract
 
 def test_extract_end_to_end(run_dir, tmp_path):
@@ -585,8 +735,10 @@ def test_extract_rate_differs_from_checkpoint(run_dir, tmp_path):
 # Work counts and determinism
 
 def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
-    # one STFT per waveform: x, e, s1 and each estimate of an item; exact,
-    # so a front end that bypasses stft cannot pass with 0
+    # one STFT per distinct waveform of an item: x, e, s1 and each distinct
+    # estimate (a passthrough in ablate is x itself, and nfe-sweep budgets
+    # with one step count share one estimate); exact, so a front end that
+    # bypasses stft cannot pass with 0
     calls = []
     real_stft = signal.stft
 
@@ -605,8 +757,20 @@ def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
         run()
         return len(calls) / items
 
-    assert per_item(lambda: cli.cmd_ablate(cfg, ck), cfg.n_eval) == 13
-    assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) == 8
+    ablate = per_item(lambda: cli.cmd_ablate(cfg, ck), cfg.n_eval)
+    header, *rows = [line.split(",") for line in (tmp_path / "ablation.csv")
+                     .read_text("utf-8").splitlines()]
+    col = {name: i for i, name in enumerate(header)}
+    stepped = sum(1 for r in rows if r[col["nfe_used"]] != "0")
+    assert ablate == 3 + stepped / cfg.n_eval
+    tau_hats = [float(r[col["tau_hat"]]) for r in rows
+                if r[col["mr_source"]] == "estimated"
+                and r[col["field"]] == "net"]
+    distinct = [len({sampler.build_schedule(tau_hat, sampler.NfePolicy(
+        max_nfe=n, epsilon=cfg.epsilon)).nfe for n in cli.NFE_SWEEP_VALUES})
+        for tau_hat in tau_hats]
+    assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) == \
+        3 + sum(distinct) / cfg.n_eval
     assert per_item(lambda: cli.cmd_extract(
         cfg, data / "item_0000_x.wav", data / "item_0000_e.wav",
         tmp_path / "o.wav", reference=data / "item_0000_s1.wav",

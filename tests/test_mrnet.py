@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from adflow.errors import DegenerateInputError
 from adflow.mrnet import (MrRegressor, load_mrnet, mr_oracle_lsq, mr_predict,
-                          mr_train, save_mrnet, _loss_and_grad, mr_features)
+                          mr_train, save_mrnet, _loss_and_grad, mr_features,
+                          _predict_rows, _sigmoid)
 from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
-from adflow.velnet import TrainConfig
+from adflow.velnet import TrainConfig, fit
 
 CFG = DatasetConfig(duration_s=0.125)
 
@@ -149,6 +150,63 @@ def test_training_deterministic():
         _, trace = mr_train(reg, items, TrainConfig(epochs=4, seed=2))
         traces.append(trace)
     assert traces[0] == traces[1]
+
+
+def _reference_predict_rows(reg, fx, fe):
+    zx = fx @ reg.extract_w.T + reg.extract_b
+    ze = fe @ reg.extract_w.T + reg.extract_b
+    z = np.hstack([zx, ze])
+    h = np.tanh(z @ reg.head_w1.T + reg.head_b1)
+    logit = h @ reg.head_w2 + reg.head_b2[0]
+    return _sigmoid(logit), (z, h, logit)
+
+
+def _reference_loss_and_grad(reg, fx, fe, taus):
+    """The step's formulas with a fresh array for every temporary."""
+    pred, (z, h, logit) = _reference_predict_rows(reg, fx, fe)
+    n = taus.size
+    resid = pred - taus
+    loss = float(np.mean(resid ** 2))
+    dlogit = (2.0 / n) * resid * pred * (1.0 - pred)
+    d_w2 = dlogit @ h
+    d_b2 = np.array([dlogit.sum()])
+    dh = np.outer(dlogit, reg.head_w2)
+    dz1 = dh * (1.0 - h ** 2)
+    d_w1 = dz1.T @ z
+    d_b1 = dz1.sum(axis=0)
+    dz = dz1 @ reg.head_w1
+    embed_dim = reg.extract_b.size
+    dzx, dze = dz[:, :embed_dim], dz[:, embed_dim:]
+    d_ww = dzx.T @ fx + dze.T @ fe
+    d_wb = dzx.sum(axis=0) + dze.sum(axis=0)
+    return loss, [d_ww, d_wb, d_w1, d_b1, d_w2, d_b2]
+
+
+def test_step_matches_fresh_temporaries():
+    rng = np.random.default_rng(6)
+    n, feat_dim = 80, 3 * 129 + 1
+    fx, fe = rng.normal(size=(n, feat_dim)), rng.normal(size=(n, feat_dim))
+    taus = rng.uniform(size=n)
+    # 5 batches of 16 over 10 epochs: 50 steps
+    cfg = TrainConfig(lr_init=1e-2, lr_min=1e-4, warmup_epochs=2,
+                      t_max_epochs=8, epochs=10, batch_size=16, seed=1)
+    runs = []
+    for loss_and_grad in (_loss_and_grad, _reference_loss_and_grad):
+        reg = MrRegressor.create(4)
+        trace = fit(reg.parameters(), n, cfg, lambda idx, _: loss_and_grad(
+            reg, fx[idx], fe[idx], taus[idx]))
+        runs.append((reg, np.array(trace)))
+    (reg, trace), (ref, ref_trace) = runs
+    assert trace.tobytes() == ref_trace.tobytes()
+    for got, want in zip(reg.parameters(), ref.parameters()):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    for rows in (1, 7):
+        got, acts = _predict_rows(reg, fx[:rows], fe[:rows])
+        want, want_acts = _reference_predict_rows(reg, fx[:rows], fe[:rows])
+        assert got.tobytes() == want.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(acts, want_acts))
 
 
 def test_oracle_at_least_as_accurate_as_regressor():

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from adflow.errors import DivergenceError, ParameterError, ShapeError
 from adflow.flowpath import PathParams
-from adflow.sampler import (NfePolicy, OracleField, Schedule, build_schedule,
-                            euler_step, extract, extract_adaptive, fixed_mr,
+from adflow.sampler import (NetField, NfePolicy, OracleField, Schedule,
+                            build_schedule, euler_step, extract,
+                            extract_adaptive, extract_budgets, fixed_mr,
                             oracle_mr)
 from adflow.signal import DatasetConfig, make_dataset, mix
+from adflow.velnet import VelocityNet
 
 CFG = DatasetConfig(duration_s=0.125)
 
@@ -160,6 +162,39 @@ def test_misseeding_error_is_linear_in_tau_error():
         est, _ = extract(item.x, item.e, field, sched)
         err = np.linalg.norm(est.samples - item.s1.samples)
         assert abs(err - abs(tau_hat - item.tau) * norm_d) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# One estimate per NFE budget
+
+@pytest.mark.parametrize("field_kind", ["oracle", "net"])
+def test_extract_budgets_match_separate_extracts(field_kind):
+    item = _item(8)
+    # sigma_max > sigma_min makes the oracle velocity depend on x and tau
+    field = (OracleField(item.b, item.s1, PathParams(sigma_min=0.0,
+                                                     sigma_max=0.5))
+             if field_kind == "oracle"
+             else NetField(VelocityNet.create(0), item.e))
+    calls = []
+
+    def counting(x, tau):
+        calls.append(tau)
+        return field(x, tau)
+
+    policies = [NfePolicy(max_nfe=n, epsilon=0.09) for n in (1, 2, 5, 10, 20)]
+    for tau_hat in (0.0, 0.3, 0.55, 0.9, 0.95, 1.0):
+        calls.clear()
+        got = extract_budgets(item.x, item.e, tau_hat, counting, policies)
+        steps = {build_schedule(tau_hat, p).nfe for p in policies} - {0}
+        assert len(calls) == (1 + sum(n - 1 for n in steps) if steps else 0)
+        assert len(got) == len(policies)
+        for (est, nfe), policy in zip(got, policies):
+            want, want_nfe = extract(item.x, item.e, field,
+                                     build_schedule(tau_hat, policy))
+            assert nfe == want_nfe
+            assert est.samples.tobytes() == want.samples.tobytes()
+            if nfe == 0:
+                assert est.samples is not item.x.samples
 
 
 # ---------------------------------------------------------------------------
