@@ -24,9 +24,10 @@ reported as `ONLY IN <side>: path`. For each CSV that differs, it
 prints the largest relative difference over its numeric cells and the
 column it occurs in, and for each checkpoint that differs, the largest
 relative difference over the values of its tensors and the index of the
-tensor, so an intended numeric change shows its size. Exits 0 when all
-match, 1 on any difference, a one-sided file or a reuse difference
-included.
+tensor, so an intended numeric change shows its size. It also prints the
+line count of `src/adflow/*.py` (as `wc -l` counts it) at REV and in the
+working tree. Exits 0 when all match, 1 on any difference, a one-sided
+file or a reuse difference included.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -129,6 +130,11 @@ def run_commands(src: Path, work: Path) -> tuple:
     return "".join(printed), reuse
 
 
+def line_count(src: Path) -> int:
+    return sum(p.read_bytes().count(b"\n")
+               for p in (src / "adflow").glob("*.py"))
+
+
 def files_under(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -206,6 +212,7 @@ def main(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         rev_src = export_src(rev, tmp / "rev")
+        lines_old, lines_new = line_count(rev_src), line_count(REPO / "src")
         printed_new, reuse_new = run_commands(REPO / "src", tmp / "new")
         printed_old, reuse_old = run_commands(rev_src, tmp / "old")
         new, old = files_under(tmp / "new"), files_under(tmp / "old")
@@ -232,6 +239,8 @@ def main(rev: str) -> int:
     print(f"{len(paths)} files and the printed output compared with {rev}: "
           + (f"{len(differ)} differ" if differ else "all byte-identical"))
     print(printed_new, end="")
+    print(f"src/adflow: {lines_old} lines at {rev}, {lines_new} in the "
+          "working tree")
     return 1 if differ else 0
 
 

@@ -126,11 +126,21 @@ def load_config(path=None, overrides=None) -> RunConfig:
             values.update(parse_config_text(Path(path).read_text("utf-8")))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: "
+                              f"{exc}") from exc
     for key, value in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _coerce(key, str(value))
     cfg = RunConfig(**values)
+    try:
+        cfg.output_dir.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} is not "
+                          "UTF-8") from exc
+    if "\0" in cfg.output_dir:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} holds a NUL")
     for key in ("n_train", "n_eval", "sample_rate_hz"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive, got "
@@ -155,9 +165,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
         raise ConfigError(f"n_fft={cfg.n_fft} is above {MAX_N_FFT}")
     try:
         # each of these checks its own fields
-        _train_config(cfg)
-        _path_params(cfg)
-        _nfe_policy(cfg)
+        for cls in (velnet.TrainConfig, flowpath.PathParams,
+                    sampler.NfePolicy):
+            _part(cls, cfg)
         stft_values = _stft_frames(n_samples, cfg.n_fft, cfg.hop) * cfg.n_fft
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -175,39 +185,24 @@ def write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
                                                   "utf-8")
 
 
-def _dataset_config(cfg: RunConfig) -> DatasetConfig:
-    return DatasetConfig(duration_s=cfg.duration_s,
-                         sample_rate_hz=cfg.sample_rate_hz)
-
-
-def _train_config(cfg: RunConfig) -> velnet.TrainConfig:
-    return velnet.TrainConfig(
-        lr_init=cfg.lr_init, lr_min=cfg.lr_min,
-        warmup_epochs=cfg.warmup_epochs, t_max_epochs=cfg.t_max_epochs,
-        weight_decay=cfg.weight_decay, grad_clip=cfg.grad_clip,
-        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed)
-
-
-def _path_params(cfg: RunConfig) -> flowpath.PathParams:
-    return flowpath.PathParams(sigma_min=cfg.sigma_min,
-                               sigma_max=cfg.sigma_max)
-
-
-def _nfe_policy(cfg: RunConfig) -> sampler.NfePolicy:
-    return sampler.NfePolicy(max_nfe=cfg.max_nfe, epsilon=cfg.epsilon)
+def _part(cls, cfg: RunConfig):
+    """The `cls` config (DatasetConfig, TrainConfig, PathParams or
+    NfePolicy) built from the RunConfig fields of the same names."""
+    return cls(**{f.name: getattr(cfg, f.name)
+                  for f in dataclasses.fields(cls)})
 
 
 # Each set is stored in the output directory, so the commands that share
 # one directory synthesize it once (see `make_dataset`).
 
 def _train_dataset(cfg: RunConfig, out: Path) -> list:
-    return make_dataset(cfg.n_train, "uniform", _dataset_config(cfg), cfg.seed,
-                        store=out / "train_set.adfd")
+    return make_dataset(cfg.n_train, "uniform", _part(DatasetConfig, cfg),
+                        cfg.seed, store=out / "train_set.adfd")
 
 
 def _eval_dataset(cfg: RunConfig, out: Path) -> list:
     # eval seed offset keeps the two sets disjoint under one config seed
-    return make_dataset(cfg.n_eval, "uniform", _dataset_config(cfg),
+    return make_dataset(cfg.n_eval, "uniform", _part(DatasetConfig, cfg),
                         cfg.seed + 1, store=out / "eval_set.adfd")
 
 
@@ -249,7 +244,7 @@ def cmd_gen_data(cfg: RunConfig) -> Path:
 
 
 def _loss_csv(path: Path, cfg: RunConfig, trace: list) -> None:
-    tc = _train_config(cfg)
+    tc = _part(velnet.TrainConfig, cfg)
     rows = [[str(epoch), repr(float(velnet.lr_for_epoch(tc, epoch))),
              repr(float(loss))] for epoch, loss in enumerate(trace)]
     _write_csv(path, ["epoch", "lr", "loss"], rows)
@@ -261,7 +256,8 @@ def cmd_train_vel(cfg: RunConfig) -> Path:
                                     feat_hop=cfg.hop,
                                     sample_rate_hz=cfg.sample_rate_hz)
     _, trace = velnet.train_velocity(net, _train_dataset(cfg, out),
-                                     _train_config(cfg), _path_params(cfg))
+                                     _part(velnet.TrainConfig, cfg),
+                                     _part(flowpath.PathParams, cfg))
     velnet.save_velnet(out / "velnet.ckpt", net)
     _loss_csv(out / "train_vel_loss.csv", cfg, trace)
     return out
@@ -273,7 +269,7 @@ def cmd_train_mr(cfg: RunConfig) -> Path:
                                    feat_hop=cfg.hop,
                                    sample_rate_hz=cfg.sample_rate_hz)
     _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out),
-                              _train_config(cfg))
+                              _part(velnet.TrainConfig, cfg))
     mrnet.save_mrnet(out / "mrnet.ckpt", reg)
     _loss_csv(out / "train_mr_loss.csv", cfg, trace)
     return out
@@ -305,27 +301,20 @@ def _load_checkpoints(cfg: RunConfig, ckpt_dir=None, data_rate=None):
 # cfg.hop), and live for one item. mrnet and velnet reuse them when their
 # checkpoints use the same framing, and recompute otherwise.
 
-def _records(cfg: RunConfig, x, e):
-    """Records of a mixture and its enrollment."""
-    return (spectral_record(x, cfg.n_fft, cfg.hop),
-            spectral_record(e, cfg.n_fft, cfg.hop))
+def _record(cfg: RunConfig, w, scored: bool = False):
+    """Record of a waveform; a scored one (of an estimate or a reference)
+    keeps the dB matrix, so it serves both LSD and SIM."""
+    return spectral_record(w, cfg.n_fft, cfg.hop, keep_db=scored)
 
 
-def _scored_record(cfg: RunConfig, w):
-    """Record of an estimate or reference: serves both LSD and SIM."""
-    return spectral_record(w, cfg.n_fft, cfg.hop, keep_db=True)
-
-
-def _reference(cfg: RunConfig, reg, x, s1) -> metrics.Reference:
-    """The reference side of an item's scores; SIM compares mrnet embeddings."""
-    return metrics.reference(x, _scored_record(cfg, s1),
-                             lambda w: mrnet.mr_embed(reg, w))
-
-
-def _scores(cfg: RunConfig, ref: metrics.Reference, est) -> dict:
-    """Scores of `est`, a waveform or its scored record; LSD uses the cfg
-    framing."""
-    return metrics.scores(_scored_record(cfg, est), ref, cfg.n_fft, cfg.hop)
+def _scorer(cfg: RunConfig, reg, x, s1):
+    """The scores of an estimate of s1, a waveform or its scored record,
+    as a function; the reference side is computed once, here. SIM compares
+    mrnet embeddings, and LSD uses the cfg framing."""
+    ref = metrics.reference(x, _record(cfg, s1, scored=True),
+                            lambda w: mrnet.mr_embed(reg, w))
+    return lambda est: metrics.scores(_record(cfg, est, scored=True), ref,
+                                      cfg.n_fft, cfg.hop)
 
 
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
@@ -336,17 +325,17 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     out = _prepare_out(cfg)
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg, out)
-    pp = _path_params(cfg)
-    policy = _nfe_policy(cfg)
+    pp = _part(flowpath.PathParams, cfg)
+    policy = _part(sampler.NfePolicy, cfg)
     rand_rng = np.random.default_rng(cfg.seed + 4242)
     rand_taus = rand_rng.uniform(size=len(items))
 
     rows = []
     for i, item in enumerate(items):
         # x's record is also the scored record of every passthrough estimate
-        x = _scored_record(cfg, item.x)
-        e = spectral_record(item.e, cfg.n_fft, cfg.hop)
-        ref = _reference(cfg, reg, item.x, item.s1)
+        x = _record(cfg, item.x, scored=True)
+        e = _record(cfg, item.e)
+        score = _scorer(cfg, reg, item.x, item.s1)
         passthrough = None
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
@@ -365,10 +354,10 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
                     item.x, item.e, sources[source_name], fields[field_name],
                     policy)
                 if nfe > 0:
-                    scored = _scores(cfg, ref, est)
+                    scored = score(est)
                 else:  # a passthrough returns x's samples in every lane
                     if passthrough is None:
-                        passthrough = _scores(cfg, ref, x)
+                        passthrough = score(x)
                     scored = passthrough
                 report = metrics.EvalReport(**scored, nfe_used=nfe,
                                             tau_true=item.tau, tau_hat=tau_hat)
@@ -423,15 +412,15 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     out = _prepare_out(cfg)
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg, out)
-    pp = _path_params(cfg)
+    pp = _part(flowpath.PathParams, cfg)
     policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
                 for n in NFE_SWEEP_VALUES]
 
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
     for item in items:
-        x, e = _records(cfg, item.x, item.e)
-        ref = _reference(cfg, reg, item.x, item.s1)
+        x, e = _record(cfg, item.x), _record(cfg, item.e)
+        score = _scorer(cfg, reg, item.x, item.s1)
         fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
                else sampler.NetField(net, e))
         budgets = sampler.extract_budgets(item.x, item.e,
@@ -440,7 +429,7 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
         by_nfe = {}  # budgets with one step count share one estimate
         for (est, nfe), scored in zip(budgets, per_nfe):
             if nfe not in by_nfe:
-                by_nfe[nfe] = _scores(cfg, ref, est)
+                by_nfe[nfe] = score(est)
             scored.append(by_nfe[nfe])
 
     def mean(scored, key):
@@ -473,17 +462,16 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     net, reg = _load_checkpoints(cfg, ckpt_dir)
     x = _read_wav_at(in_path, net.sample_rate_hz)
     e = _read_wav_at(enroll_path, net.sample_rate_hz)
-    xr, er = _records(cfg, x, e)
-    policy = _nfe_policy(cfg)
+    xr, er = _record(cfg, x), _record(cfg, e)
     est, tau_hat, nfe = sampler.extract_adaptive(
         x, e, sampler.fixed_mr(mrnet.mr_predict(reg, xr, er)),
-        sampler.NetField(net, er), policy)
+        sampler.NetField(net, er), _part(sampler.NfePolicy, cfg))
     write_wav(out_wav, est)
     result = {"tau_hat": tau_hat, "nfe_used": nfe}
     print(f"tau_hat={tau_hat:.6f} nfe_used={nfe}")
     if reference is not None:
         s1 = _read_wav_at(reference, net.sample_rate_hz)
-        result.update(_scores(cfg, _reference(cfg, reg, x, s1), est))
+        result.update(_scorer(cfg, reg, x, s1)(est))
         print("si_sdr_db={si_sdr_db:.4f} "
               "si_sdr_improvement_db={si_sdr_improvement_db:.4f} "
               "lsd_db={lsd_db:.4f} sim_cosine={sim_cosine:.6f}"

@@ -13,7 +13,8 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
-from .signal import SpectralRecord, Waveform, spectral_record, stft  # noqa: F401
+from .signal import (SpectralRecord, Waveform, samples_of,  # noqa: F401
+                     spectral_record, stft)
 
 SI_SDR_CAP_DB = 100.0
 
@@ -21,15 +22,9 @@ REPORT_COLUMNS = ("tau_true", "tau_hat", "nfe_used", "si_sdr_db",
                   "si_sdr_improvement_db", "lsd_db", "sim_cosine")
 
 
-def _arr(w):
-    if isinstance(w, SpectralRecord):
-        w = w.wave
-    return w.samples if isinstance(w, Waveform) else np.asarray(w, np.float64)
-
-
 def si_sdr(est, ref_) -> float:
     """Scale-invariant SDR in dB, capped at +-100."""
-    est, ref_ = _arr(est), _arr(ref_)
+    est, ref_ = samples_of(est), samples_of(ref_)
     if est.shape != ref_.shape:
         raise ShapeError("est and ref must have equal length")
     ref_energy = float(np.dot(ref_, ref_))
@@ -52,7 +47,7 @@ def lsd(est, ref_, n_fft: int = 256, hop: int = 64) -> float:
     """RMS difference of 10*log10 magnitudes over frames and bins, in dB."""
     est, ref_ = (w if isinstance(w, (Waveform, SpectralRecord))
                  else Waveform(np.asarray(w)) for w in (est, ref_))
-    if _arr(est).size != _arr(ref_).size:
+    if samples_of(est).size != samples_of(ref_).size:
         raise ShapeError("est and ref must have equal length")
     a = spectral_record(est, n_fft, hop, keep_db=True).db
     b = spectral_record(ref_, n_fft, hop, keep_db=True).db
@@ -127,10 +122,3 @@ def scores(est, ref: Reference, n_fft: int = 256, hop: int = 64) -> dict:
             "lsd_db": lsd(est, ref.s1, n_fft, hop),
             "sim_cosine": sim(est, ref.s1, ref.extractor, ref.embedding)}
 
-
-def evaluate(est: Waveform, x: Waveform, s1: Waveform, extractor,
-             tau_true: float, tau_hat: float, nfe_used: int,
-             n_fft: int = 256, hop: int = 64) -> EvalReport:
-    """Assemble one report row for an extraction result."""
-    return EvalReport(**scores(est, reference(x, s1, extractor), n_fft, hop),
-                      nfe_used=nfe_used, tau_true=tau_true, tau_hat=tau_hat)

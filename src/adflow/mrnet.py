@@ -18,9 +18,9 @@ from .errors import DegenerateInputError
 # so that perfbench's tracer, which rebinds them in this module, finds them:
 # spectra come from spectral_record and training runs in velnet.fit.
 from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
-                     spectral_record, stft, write_tensor_stream)
+                     samples_of, spectral_record, stft)
 from .velnet import (AdamW, TrainConfig, _read_header,  # noqa: F401
-                     clip_gradients, fit, stats_features)
+                     _write_checkpoint, clip_gradients, fit, stats_features)
 
 # Logit bound keeping sigmoid strictly inside (0,1) in float64.
 _LOGIT_CLIP = 30.0
@@ -158,10 +158,7 @@ def mr_train(reg: MrRegressor, dataset: list, config: TrainConfig):
 
 def mr_oracle_lsq(x, s1, b) -> float:
     """Least-squares inversion of the mixing equation, clamped to [0,1]."""
-    def arr(v):
-        return v.samples if isinstance(v, Waveform) else np.asarray(v, float)
-
-    x, s1, b = arr(x), arr(s1), arr(b)
+    x, s1, b = samples_of(x), samples_of(s1), samples_of(b)
     d = s1 - b
     denom = float(np.dot(d, d))
     if denom <= 0.0:
@@ -171,14 +168,11 @@ def mr_oracle_lsq(x, s1, b) -> float:
 
 
 def save_mrnet(path, reg: MrRegressor) -> None:
-    header = (f"{_MR_HEADER} embed_dim={reg.extract_b.size} "
-              f"hidden_dim={reg.head_b1.size} "
-              f"feat_n_fft={reg.feat_n_fft} feat_hop={reg.feat_hop} "
-              f"sample_rate_hz={reg.sample_rate_hz}\n")
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        for p in reg.parameters():
-            write_tensor_stream(f, p)
+    _write_checkpoint(
+        path, f"{_MR_HEADER} embed_dim={reg.extract_b.size} "
+        f"hidden_dim={reg.head_b1.size} "
+        f"feat_n_fft={reg.feat_n_fft} feat_hop={reg.feat_hop} "
+        f"sample_rate_hz={reg.sample_rate_hz}", reg.parameters())
 
 
 def load_mrnet(path) -> MrRegressor:

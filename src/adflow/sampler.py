@@ -13,7 +13,7 @@ import numpy as np
 
 from . import flowpath, mrnet, velnet
 from .errors import DivergenceError, ParameterError, ShapeError
-from .signal import Waveform
+from .signal import Waveform, samples_of
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,7 @@ class OracleField:
 
     def __init__(self, b: Waveform, s1: Waveform,
                  params: flowpath.PathParams | None = None):
-        self.b = b.samples if isinstance(b, Waveform) else np.asarray(b, float)
-        self.s1 = (s1.samples if isinstance(s1, Waveform)
-                   else np.asarray(s1, float))
+        self.b, self.s1 = samples_of(b), samples_of(s1)
         self.params = params or flowpath.PathParams()
 
     def __call__(self, x: np.ndarray, tau: float) -> np.ndarray:

@@ -8,7 +8,6 @@ amplitude ratio between target and background.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import os
@@ -55,13 +54,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.samples ** 2)))
 
 
 def _check_compatible(a: Waveform, b: Waveform) -> None:
@@ -123,14 +115,11 @@ class MixtureSpec:
     interferers: tuple  # of (SpeakerIdentity, weight)
     noise_weight: float
     tau: float
-    duration_s: float
 
     def __post_init__(self):
         intf = tuple((ident, float(w)) for ident, w in self.interferers)
         if not 0.0 <= self.tau <= 1.0:
             raise ParameterError("tau must lie in [0, 1]")
-        if self.duration_s <= 0:
-            raise ParameterError("duration must be positive")
         if self.noise_weight < 0 or any(w < 0 for _, w in intf):
             raise ParameterError("background weights must be non-negative")
         if self.noise_weight <= 0 and not any(w > 0 for _, w in intf):
@@ -146,16 +135,6 @@ class Spectrogram:
     n_fft: int
     hop: int
     window: np.ndarray
-
-    def __post_init__(self):
-        if self.frames.ndim != 2:
-            raise ShapeError("frames must be 2-D (bins, frames)")
-        if self.frames.shape[0] != self.n_fft // 2 + 1:
-            raise ShapeError("bin count must equal n_fft//2 + 1")
-        if len(self.window) != self.n_fft:
-            raise ShapeError("window length must equal n_fft")
-        if self.hop > self.n_fft:
-            raise ParameterError("hop must not exceed n_fft")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +230,7 @@ class MixtureItem:
     spec: MixtureSpec
 
 
-def _draw_item(rng: np.random.Generator, fixed_tau, duration_s: float):
+def _draw_item(rng: np.random.Generator, fixed_tau):
     """One item's plan from the dataset generator: (spec, source seed,
     enrollment seed, background seed)."""
     target = random_identity(rng)
@@ -262,7 +241,7 @@ def _draw_item(rng: np.random.Generator, fixed_tau, duration_s: float):
     noise_w = float(rng.uniform(0.1, 0.5))
     tau = float(rng.uniform()) if fixed_tau is None else fixed_tau
     spec = MixtureSpec(target=target, interferers=interferers,
-                       noise_weight=noise_w, tau=tau, duration_s=duration_s)
+                       noise_weight=noise_w, tau=tau)
     return (spec, int(rng.integers(0, 2 ** 31)), int(rng.integers(0, 2 ** 31)),
             int(rng.integers(0, 2 ** 31)))
 
@@ -362,8 +341,7 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
             raise ParameterError("fixed tau must lie in [0, 1]")
     cfg = config or DatasetConfig()
     rng = np.random.default_rng(seed)
-    plans = [_draw_item(rng, fixed_tau, cfg.duration_s)
-             for _ in range(n_items)]
+    plans = [_draw_item(rng, fixed_tau) for _ in range(n_items)]
     waves = None
     if store is not None:
         sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
@@ -418,51 +396,30 @@ _WORKSPACES_PER_THREAD = 4
 _thread_state = threading.local()
 
 
-class _Workspace:
-    """The intermediate arrays of `stft` and `spectral_record` for one
-    (n_samples, n_fft, hop): the zero-padded signal, whose tail past the
+def _workspace(n: int, n_fft: int, hop: int) -> tuple:
+    """This thread's intermediate arrays of `stft` and `spectral_record` for
+    an STFT of n samples: the zero-padded signal, whose tail past the
     samples is never written and stays zero, the windowed frames, the
     complex spectrum and |X| (both (bins, frames), F-ordered like the
-    transposed `rfft` output), and the squared samples."""
+    transposed `rfft` output), and the squared samples.
 
-    __slots__ = ("padded", "windowed", "spec", "mag", "sq")
-
-    def __init__(self, n: int, n_fft: int, hop: int):
-        nf = _stft_frames(n, n_fft, hop)
-        self.padded = np.zeros((nf - 1) * hop + n_fft)
-        self.windowed = np.empty((nf, n_fft))
-        self.spec = np.empty((nf, n_fft // 2 + 1), dtype=np.complex128).T
-        self.mag = np.empty((nf, n_fft // 2 + 1)).T
-        self.sq = np.empty(n)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(getattr(self, name).nbytes for name in self.__slots__)
-
-
-def _thread_workspaces() -> collections.OrderedDict:
-    """This thread's kept workspaces by (n_samples, n_fft, hop), oldest
-    first; created on first use."""
-    cache = getattr(_thread_state, "workspaces", None)
-    if cache is None:
-        cache = _thread_state.workspaces = collections.OrderedDict()
-    return cache
-
-
-def _workspace(n: int, n_fft: int, hop: int) -> _Workspace:
-    """This thread's workspace for an STFT of n samples. One above
-    `_WORKSPACE_MAX_BYTES` is new on every call and not kept."""
+    A thread keeps them by (n, n_fft, hop) in a dict whose insertion order
+    is the LRU order. A set above `_WORKSPACE_MAX_BYTES` is new on every
+    call and not kept.
+    """
+    kept = _thread_state.__dict__.setdefault("workspaces", {})
     key = (n, n_fft, hop)
-    cache = _thread_workspaces()
-    ws = cache.get(key)
-    if ws is not None:
-        cache.move_to_end(key)
-        return ws
-    ws = _Workspace(n, n_fft, hop)
-    if ws.nbytes <= _WORKSPACE_MAX_BYTES:
-        cache[key] = ws
-        if len(cache) > _WORKSPACES_PER_THREAD:
-            cache.popitem(last=False)
+    ws = kept.pop(key, None)
+    if ws is None:
+        nf = _stft_frames(n, n_fft, hop)
+        ws = (np.zeros((nf - 1) * hop + n_fft), np.empty((nf, n_fft)),
+              np.empty((nf, n_fft // 2 + 1), dtype=np.complex128).T,
+              np.empty((nf, n_fft // 2 + 1)).T, np.empty(n))
+        if sum(arr.nbytes for arr in ws) > _WORKSPACE_MAX_BYTES:
+            return ws
+    kept[key] = ws
+    if len(kept) > _WORKSPACES_PER_THREAD:
+        del kept[next(iter(kept))]
     return ws
 
 
@@ -474,11 +431,10 @@ def stft(w: Waveform, n_fft: int = 256, hop: int = 64,
     given, and to a new array otherwise.
     """
     x = w.samples
-    ws = _workspace(x.size, n_fft, hop)
+    padded, windowed, *_ = _workspace(x.size, n_fft, hop)
     win = _cached_window(n_fft)
-    ws.padded[:x.size] = x
-    windowed = np.multiply(sliding_window_view(ws.padded, n_fft)[::hop], win,
-                           out=ws.windowed)
+    padded[:x.size] = x
+    np.multiply(sliding_window_view(padded, n_fft)[::hop], win, out=windowed)
     frames = np.fft.rfft(windowed, n=n_fft, axis=1,
                          out=None if out is None else out.T).T
     return Spectrogram(frames=frames, n_fft=n_fft, hop=hop, window=win)
@@ -503,6 +459,14 @@ class SpectralRecord:
     db: np.ndarray | None = None  # 10*log10(|X| + 1e-8)
 
 
+def samples_of(w) -> np.ndarray:
+    """The samples of a Waveform, of a `SpectralRecord`'s waveform, or of an
+    array (as float64)."""
+    if isinstance(w, SpectralRecord):
+        w = w.wave
+    return w.samples if isinstance(w, Waveform) else np.asarray(w, np.float64)
+
+
 def spectral_record(w, n_fft: int = 256, hop: int = 64,
                     keep_db: bool = False) -> SpectralRecord:
     """One STFT of a waveform, reduced to a `SpectralRecord`.
@@ -520,8 +484,8 @@ def spectral_record(w, n_fft: int = 256, hop: int = 64,
     # new arrays only. The operations are those of mag.mean(axis=1),
     # 10*log10(mag + 1e-8), logm.mean(axis=1) and logm.std(axis=1), in
     # the same order and on the same F-ordered layout, so the bytes match.
-    ws = _workspace(len(w), n_fft, hop)
-    mag = np.abs(stft(w, n_fft, hop, out=ws.spec).frames, out=ws.mag)
+    *_, spec, mag, sq = _workspace(len(w), n_fft, hop)
+    mag = np.abs(stft(w, n_fft, hop, out=spec).frames, out=mag)
     profile = mag.mean(axis=1)
     db = None
     if keep_db:
@@ -536,7 +500,7 @@ def spectral_record(w, n_fft: int = 256, hop: int = 64,
     return SpectralRecord(
         wave=w, n_fft=n_fft, hop=hop, profile=profile,
         stats=np.concatenate([mean, np.sqrt(var, out=var)]),
-        rms=np.sqrt(np.mean(np.square(w.samples, out=ws.sq))), db=db)
+        rms=np.sqrt(np.mean(np.square(w.samples, out=sq))), db=db)
 
 
 def istft(s: Spectrogram, out_len: int,
@@ -583,6 +547,8 @@ def read_wav(path) -> Waveform:
             if f.getsampwidth() != 2:
                 raise FileFormatError(f"{path}: expected 16-bit PCM")
             rate = f.getframerate()
+            if rate < 1:
+                raise FileFormatError(f"{path}: WAV declares {rate} Hz")
             n_frames = f.getnframes()
             raw = f.readframes(n_frames)
     # wave reports a file cut inside its header as EOFError, and a chunk

@@ -61,11 +61,6 @@ def stats_features(w, n_fft: int = 256, hop: int = 64) -> np.ndarray:
     return spectral_record(w, n_fft, hop).stats
 
 
-def standardized_stats(w, n_fft: int = 256, hop: int = 64) -> np.ndarray:
-    f = stats_features(w, n_fft, hop)
-    return (f - f.mean()) / (f.std() + 1e-8)
-
-
 # ---------------------------------------------------------------------------
 # Network
 
@@ -126,7 +121,8 @@ def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
     """
     if net.enroll_embed_dim == 0:
         return np.zeros(0)
-    return net.enroll_proj @ standardized_stats(e, net.feat_n_fft, net.feat_hop)
+    f = stats_features(e, net.feat_n_fft, net.feat_hop)
+    return net.enroll_proj @ ((f - f.mean()) / (f.std() + 1e-8))
 
 
 def _forward(net: VelocityNet, rows: np.ndarray):
@@ -439,18 +435,22 @@ def _read_header(f, path, magic: str, parse):
                               f"({exc!r})") from exc
 
 
+def _write_checkpoint(path, header: str, tensors: list) -> None:
+    """Write a checkpoint: the `header` line, then `tensors` in order."""
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii") + b"\n")
+        for t in tensors:
+            write_tensor_stream(f, t)
+
+
 def save_velnet(path, net: VelocityNet) -> None:
     dims = ",".join(str(d) for d in net.layer_dims)
-    header = (f"{_VEL_HEADER} dims={dims} frame_len={net.frame_len} "
-              f"tau_dim={net.tau_embed_dim} enroll_dim={net.enroll_embed_dim} "
-              f"feat_n_fft={net.feat_n_fft} feat_hop={net.feat_hop} "
-              f"sample_rate_hz={net.sample_rate_hz}\n")
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        for w, b in zip(net.weights, net.biases):
-            write_tensor_stream(f, w)
-            write_tensor_stream(f, b)
-        write_tensor_stream(f, net.enroll_proj)
+    _write_checkpoint(
+        path, f"{_VEL_HEADER} dims={dims} frame_len={net.frame_len} "
+        f"tau_dim={net.tau_embed_dim} enroll_dim={net.enroll_embed_dim} "
+        f"feat_n_fft={net.feat_n_fft} feat_hop={net.feat_hop} "
+        f"sample_rate_hz={net.sample_rate_hz}",
+        net.parameters() + [net.enroll_proj])
 
 
 def load_velnet(path) -> VelocityNet:

@@ -89,6 +89,11 @@ def test_defaults_follow_reference_settings():
     assert cfg.warmup_epochs == 5 and cfg.t_max_epochs == 50
     assert cfg.weight_decay == 0.01 and cfg.grad_clip == 0.5
     assert cfg.max_nfe == 5 and cfg.sigma_min == 0.0 and cfg.sigma_max == 0.0
+    # each sub-config takes the RunConfig fields of its names, and their
+    # defaults must agree
+    for cls in (DatasetConfig, velnet.TrainConfig, flowpath.PathParams,
+                sampler.NfePolicy):
+        assert cli._part(cls, cfg) == cls()
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +103,24 @@ def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n", "utf-8")
     assert main(["gen-data", "--config", str(bad)]) == 2
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n# \xff\n")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["o_\udcff", "o_\0"],
+                         ids=["surrogate", "nul"])
+def test_output_dir_unusable_exits_2_before_writing(tmp_path, capsys, name):
+    # a shell's --out $'\xff' arrives as the surrogate
+    assert main(["gen-data", "--out", str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not any(tmp_path.iterdir())
 
 
 BAD_CONFIG_VALUES = {
@@ -684,6 +707,8 @@ MALFORMED_WAVS = {
     "odd_bytes": lambda data: data[:-1],
     "header_only": lambda data: data[:30],
     "bad_chunk": _set_fmt_chunk_size,
+    # the framerate field of the canonical 44-byte header
+    "zero_rate": lambda data: data[:24] + bytes(4) + data[28:],
 }
 
 

@@ -1,8 +1,11 @@
 """Damaged inputs through the CLI: checkpoints and WAVs with bytes cut off
 or overwritten must end in an exit code of the contract, never in an
 exception escaping `adflow.cli.main`. A damaged training-set store is only
-a cache miss: `train-mr` must succeed with the outputs of the pristine run."""
+a cache miss: `train-mr` must succeed with the outputs of the pristine run.
+Any `--set key=value` must end in exit 2 or, once the config is accepted,
+at the missing checkpoints of an empty directory with exit 4."""
 
+import dataclasses
 import shutil
 import tempfile
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adflow.cli import main
+from adflow.cli import RunConfig, main
 
 CONFIG = """
 seed = 0
@@ -98,3 +101,28 @@ def test_overwritten_input_keeps_exit_contract(pristine, target, where,
 
     expect = (0,) if target == STORE else (0, 1, 2, 3, 4)
     assert _run_on_damaged(pristine, target, overwrite) in expect
+
+
+# Extremes for every field type; the surrogate is what a non-UTF-8 byte in
+# argv decodes to.
+EXTREME_VALUES = ("0", "-1", str(2 ** 63), "9" * 5000, "-" + "9" * 400,
+                  "inf", "-inf", "nan", "1e308", "-1e308", "-0.0", "5e-324",
+                  "", "\udcff", "1_000", "0x10")
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("no_checkpoints")
+
+
+@FUZZ
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+       value=st.one_of(st.sampled_from(EXTREME_VALUES),
+                       st.integers().map(str), st.floats().map(repr),
+                       st.text(max_size=12)))
+def test_config_value_keeps_exit_contract(empty_dir, key, value):
+    code = main(["extract", "--checkpoints", str(empty_dir),
+                 "--in", "x.wav", "--enroll", "e.wav", "--out-wav", "o.wav",
+                 "--set", f"{key}={value}"])
+    assert code in (2, 4)
+    assert not any(empty_dir.iterdir())

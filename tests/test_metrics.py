@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adflow.errors import DegenerateInputError, ShapeError
-from adflow.metrics import (SI_SDR_CAP_DB, EvalReport, REPORT_COLUMNS,
-                            evaluate, lsd, si_sdr, sim)
+from adflow.metrics import (SI_SDR_CAP_DB, EvalReport, REPORT_COLUMNS, lsd,
+                            reference, scores, si_sdr, sim)
 from adflow.mrnet import MrRegressor, mr_embed
 from adflow.sampler import (NfePolicy, OracleField, extract_adaptive,
                             oracle_mr)
@@ -155,7 +155,8 @@ def test_evaluate_consistent_with_parts():
     ext = _extractor()
     item = make_dataset(1, "uniform", DatasetConfig(duration_s=0.125),
                         seed=13)[0]
-    rep = evaluate(item.x, item.x, item.s1, ext, item.tau, 0.5, 2)
+    rep = EvalReport(**scores(item.x, reference(item.x, item.s1, ext)),
+                     nfe_used=2, tau_true=item.tau, tau_hat=0.5)
     assert rep.si_sdr_db == si_sdr(item.x, item.s1)
     assert rep.si_sdr_improvement_db == 0.0
     assert rep.lsd_db == lsd(item.x, item.s1)

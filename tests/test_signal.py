@@ -24,6 +24,10 @@ def ident(seed):
     return random_identity(np.random.default_rng(seed))
 
 
+def _rms(w):
+    return np.sqrt(np.mean(w.samples ** 2))
+
+
 # ---------------------------------------------------------------------------
 # Waveform / SpeakerIdentity validation
 
@@ -75,7 +79,7 @@ def test_synth_source_deterministic():
 def test_synth_source_unit_rms():
     for seed in range(5):
         w = synth_source(ident(seed), 0.25, SR, seed=seed)
-        assert abs(w.rms() - 1.0) < 1e-6
+        assert abs(_rms(w) - 1.0) < 1e-6
 
 
 def test_synth_source_distinct_identities_decorrelate():
@@ -95,14 +99,14 @@ def test_synth_source_rejects_bad_duration():
 # ---------------------------------------------------------------------------
 # synth_background
 
-def _spec(noise_w, interferers, tau=0.5, duration=0.25):
+def _spec(noise_w, interferers, tau=0.5):
     return MixtureSpec(target=ident(99), interferers=interferers,
-                       noise_weight=noise_w, tau=tau, duration_s=duration)
+                       noise_weight=noise_w, tau=tau)
 
 
 def test_background_noise_only_unit_rms():
     w = synth_background(_spec(1.0, ()), 0.25, SR, seed=4)
-    assert abs(w.rms() - 1.0) < 1e-9
+    assert abs(_rms(w) - 1.0) < 1e-9
     # white noise: spectrally flat-ish, not dominated by any single bin
     mag = np.abs(np.fft.rfft(w.samples))
     assert mag.max() ** 2 / np.sum(mag ** 2) < 0.05
@@ -120,7 +124,7 @@ def test_background_blend_unit_rms_and_distinct():
     blend = synth_background(_spec(0.5, ((who, 0.5),)), 0.25, SR, seed=2)
     noise = synth_background(_spec(1.0, ()), 0.25, SR, seed=2)
     src = synth_background(_spec(0.0, ((who, 1.0),)), 0.25, SR, seed=2)
-    assert abs(blend.rms() - 1.0) < 1e-6
+    assert abs(_rms(blend) - 1.0) < 1e-6
     assert not np.allclose(blend.samples, noise.samples)
     assert not np.allclose(blend.samples, src.samples)
 
@@ -401,11 +405,9 @@ def test_records_do_not_alias_the_workspace():
     second = signal.spectral_record(_noise(8000, 2), keep_db=True)
     assert _bytes_of(first) == kept
     assert _bytes_of(second) != kept
-    ws = signal._thread_workspaces()[(8000, 256, 64)]
+    ws = signal._thread_state.workspaces[(8000, 256, 64)]
     for arr in (first.profile, first.stats, first.db):
-        assert not any(np.shares_memory(arr, buf)
-                       for buf in (ws.padded, ws.windowed, ws.spec, ws.mag,
-                                   ws.sq))
+        assert not any(np.shares_memory(arr, buf) for buf in ws)
 
 
 def test_records_from_threads_equal_sequential():
@@ -434,15 +436,16 @@ def test_records_from_threads_equal_sequential():
 
 def test_workspace_above_cap_is_not_kept():
     n = 200_000
-    assert signal._Workspace(n, 256, 64).nbytes > signal._WORKSPACE_MAX_BYTES
+    assert sum(arr.nbytes for arr in signal._workspace(n, 256, 64)) > \
+        signal._WORKSPACE_MAX_BYTES
     w = _noise(n, 5)
     rec = signal.spectral_record(w, keep_db=True)
     assert _bytes_of(rec) == _record_bytes(_reference_record(w, 256, 64, True))
-    assert (n, 256, 64) not in signal._thread_workspaces()
+    assert (n, 256, 64) not in signal._thread_state.workspaces
     # below the cap a thread keeps the most recently used few
     for n in range(100, 100 + 2 * signal._WORKSPACES_PER_THREAD):
         signal.spectral_record(_noise(n, n))
-    kept = signal._thread_workspaces()
+    kept = signal._thread_state.workspaces
     assert len(kept) == signal._WORKSPACES_PER_THREAD
     assert (n, 256, 64) in kept
 
