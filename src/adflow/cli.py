@@ -52,6 +52,9 @@ MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
 # about 50 MB at this cap.
 MAX_N_FFT = 2 ** 16
 
+# A WAV header holds the byte rate, 2 x rate at 16-bit mono, in 32 bits.
+MAX_SAMPLE_RATE_HZ = 2 ** 31 - 1
+
 
 @dataclass
 class RunConfig:
@@ -141,6 +144,13 @@ def load_config(path=None, overrides=None) -> RunConfig:
                           "UTF-8") from exc
     if "\0" in cfg.output_dir:
         raise ConfigError(f"output_dir {cfg.output_dir!r} holds a NUL")
+    try:  # effective_config.txt must reproduce the run
+        read_back = parse_config_text(f"output_dir={cfg.output_dir}")
+    except ConfigError:
+        read_back = None
+    if read_back != {"output_dir": cfg.output_dir}:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} would not read "
+                          "back from effective_config.txt as it is")
     for key in ("n_train", "n_eval", "sample_rate_hz"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive, got "
@@ -159,6 +169,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"{key}={getattr(cfg, key)} items of "
                               f"{n_samples} samples are above "
                               f"{MAX_DATASET_SAMPLES} samples")
+    if cfg.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+        raise ConfigError(f"sample_rate_hz={cfg.sample_rate_hz} is above "
+                          f"{MAX_SAMPLE_RATE_HZ}")
     if cfg.max_nfe > MAX_NFE:
         raise ConfigError(f"max_nfe={cfg.max_nfe} is above {MAX_NFE}")
     if cfg.n_fft > MAX_N_FFT:
@@ -308,13 +321,32 @@ def _record(cfg: RunConfig, w, scored: bool = False):
 
 
 def _scorer(cfg: RunConfig, reg, x, s1):
-    """The scores of an estimate of s1, a waveform or its scored record,
-    as a function; the reference side is computed once, here. SIM compares
-    mrnet embeddings, and LSD uses the cfg framing."""
-    ref = metrics.reference(x, _record(cfg, s1, scored=True),
-                            lambda w: mrnet.mr_embed(reg, w))
-    return lambda est: metrics.scores(_record(cfg, est, scored=True), ref,
-                                      cfg.n_fft, cfg.hop)
+    """`metrics.scorer` with mrnet embeddings for SIM and the cfg framing."""
+    return metrics.scorer(x, s1, lambda w: mrnet.mr_embed(reg, w),
+                          cfg.n_fft, cfg.hop)
+
+
+def _eval_items(cfg: RunConfig, ckpt_dir, out: Path):
+    """The per-item set-up of `ablate` and `nfe-sweep`.
+
+    Loads both checkpoints (at the config's rate), then reads the eval set,
+    and yields per item (index, item, mrnet's tau_hat, the "oracle" and
+    "net" fields, score): score(est, nfe) scores the estimate of a lane
+    that took nfe steps, and holds for this item's iteration only.
+    """
+    net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
+    items = _eval_dataset(cfg, out)
+    pp = _part(flowpath.PathParams, cfg)
+    for i, item in enumerate(items):
+        x = _record(cfg, item.x, scored=True)
+        e = _record(cfg, item.e)
+        score = _scorer(cfg, reg, item.x, item.s1)
+        # every passthrough is x's samples: x's record is scored once for all
+        passthrough = functools.cache(lambda: score(x))
+        fields = {"oracle": sampler.OracleField(item.b, item.s1, pp),
+                  "net": sampler.NetField(net, e)}
+        yield (i, item, mrnet.mr_predict(reg, x, e), fields,
+               lambda est, nfe: score(est) if nfe > 0 else passthrough())
 
 
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
@@ -323,43 +355,24 @@ ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
 def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     """Table-style grid: five MR sources x {oracle, net} fields."""
     out = _prepare_out(cfg)
-    net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
-    items = _eval_dataset(cfg, out)
-    pp = _part(flowpath.PathParams, cfg)
     policy = _part(sampler.NfePolicy, cfg)
-    rand_rng = np.random.default_rng(cfg.seed + 4242)
-    rand_taus = rand_rng.uniform(size=len(items))
-
+    rand_taus = np.random.default_rng(cfg.seed + 4242).uniform(
+        size=cfg.n_eval)
     rows = []
-    for i, item in enumerate(items):
-        # x's record is also the scored record of every passthrough estimate
-        x = _record(cfg, item.x, scored=True)
-        e = _record(cfg, item.e)
-        score = _scorer(cfg, reg, item.x, item.s1)
-        passthrough = None
+    for i, item, estimated, fields, score in _eval_items(cfg, ckpt_dir, out):
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
-            "estimated": sampler.fixed_mr(mrnet.mr_predict(reg, x, e)),
+            "estimated": sampler.fixed_mr(estimated),
             "random": sampler.fixed_mr(float(rand_taus[i])),
             "tau1": sampler.fixed_mr(1.0),
             "tau0": sampler.fixed_mr(0.0),
-        }
-        fields = {
-            "oracle": sampler.OracleField(item.b, item.s1, pp),
-            "net": sampler.NetField(net, e),
         }
         for source_name in ABLATION_SOURCES:
             for field_name in ("oracle", "net"):
                 est, tau_hat, nfe = sampler.extract_adaptive(
                     item.x, item.e, sources[source_name], fields[field_name],
                     policy)
-                if nfe > 0:
-                    scored = score(est)
-                else:  # a passthrough returns x's samples in every lane
-                    if passthrough is None:
-                        passthrough = score(x)
-                    scored = passthrough
-                report = metrics.EvalReport(**scored, nfe_used=nfe,
+                report = metrics.EvalReport(**score(est, nfe), nfe_used=nfe,
                                             tau_true=item.tau, tau_hat=tau_hat)
                 rows.append([str(i), source_name, field_name]
                             + report.csv_row())
@@ -410,26 +423,17 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     if field not in ("net", "oracle"):
         raise ConfigError(f"unknown field {field!r}")
     out = _prepare_out(cfg)
-    net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
-    items = _eval_dataset(cfg, out)
-    pp = _part(flowpath.PathParams, cfg)
     policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
                 for n in NFE_SWEEP_VALUES]
-
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
-    for item in items:
-        x, e = _record(cfg, item.x), _record(cfg, item.e)
-        score = _scorer(cfg, reg, item.x, item.s1)
-        fld = (sampler.OracleField(item.b, item.s1, pp) if field == "oracle"
-               else sampler.NetField(net, e))
-        budgets = sampler.extract_budgets(item.x, item.e,
-                                          mrnet.mr_predict(reg, x, e), fld,
-                                          policies)
+    for _, item, tau_hat, fields, score in _eval_items(cfg, ckpt_dir, out):
+        budgets = sampler.extract_budgets(item.x, item.e, tau_hat,
+                                          fields[field], policies)
         by_nfe = {}  # budgets with one step count share one estimate
         for (est, nfe), scored in zip(budgets, per_nfe):
             if nfe not in by_nfe:
-                by_nfe[nfe] = score(est)
+                by_nfe[nfe] = score(est, nfe)
             scored.append(by_nfe[nfe])
 
     def mean(scored, key):

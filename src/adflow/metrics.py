@@ -92,33 +92,25 @@ class EvalReport:
                 repr(float(self.lsd_db)), repr(float(self.sim_cosine))]
 
 
-@dataclass(frozen=True)
-class Reference:
-    """The side of the scores that does not depend on the estimate."""
+def scorer(x, s1, extractor, n_fft: int = 256, hop: int = 64):
+    """The scores of estimates of s1 from the mixture x, as a function.
 
-    s1: object
-    extractor: object
-    embedding: np.ndarray     # extractor(s1)
-    mixture_si_sdr_db: float  # si_sdr(x, s1)
-
-
-def reference(x, s1, extractor) -> Reference:
-    """The reference side of scoring estimates of s1 from the mixture x.
-
-    Compute it once per item and score every estimate against it; an s1
-    record built with `keep_db=True` at the LSD framing lets its one STFT
-    serve LSD and SIM for all of them.
+    `score(est)` returns SI-SDR, its improvement over the mixture, LSD and
+    SIM of est against s1; s1 and est are Waveforms or their records. What
+    does not depend on the estimate (s1's record, its SIM embedding and
+    si_sdr(x, s1)) is computed once, here. Each call builds the estimate's
+    record once, with the dB matrix at the LSD framing, for all three.
     """
-    return Reference(s1, extractor,
-                     np.asarray(extractor(s1), dtype=np.float64),
-                     si_sdr(x, s1))
+    s1 = spectral_record(s1, n_fft, hop, keep_db=True)
+    embedding = np.asarray(extractor(s1), dtype=np.float64)
+    mixture_si_sdr_db = si_sdr(x, s1)
 
+    def score(est) -> dict:
+        est = spectral_record(est, n_fft, hop, keep_db=True)
+        sdr = si_sdr(est, s1)
+        return {"si_sdr_db": sdr,
+                "si_sdr_improvement_db": sdr - mixture_si_sdr_db,
+                "lsd_db": lsd(est, s1, n_fft, hop),
+                "sim_cosine": sim(est, s1, extractor, embedding)}
 
-def scores(est, ref: Reference, n_fft: int = 256, hop: int = 64) -> dict:
-    """SI-SDR, its improvement over the mixture, LSD and SIM of est vs s1."""
-    sdr = si_sdr(est, ref.s1)
-    return {"si_sdr_db": sdr,
-            "si_sdr_improvement_db": sdr - ref.mixture_si_sdr_db,
-            "lsd_db": lsd(est, ref.s1, n_fft, hop),
-            "sim_cosine": sim(est, ref.s1, ref.extractor, ref.embedding)}
-
+    return score

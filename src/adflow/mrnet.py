@@ -101,14 +101,10 @@ def mr_embed(reg: MrRegressor, w) -> np.ndarray:
 
 def _predict_rows(reg: MrRegressor, fx: np.ndarray, fe: np.ndarray):
     """Batched prediction from precomputed feature rows; keeps activations."""
-    embed_dim = reg.extract_b.size
-    z = np.empty((fx.shape[0], 2 * embed_dim))
-    for rows, half in ((fx, z[:, :embed_dim]), (fe, z[:, embed_dim:])):
-        np.matmul(rows, reg.extract_w.T, out=half)
-        half += reg.extract_b
-    h = z @ reg.head_w1.T
-    h += reg.head_b1
-    np.tanh(h, out=h)
+    zx = fx @ reg.extract_w.T + reg.extract_b
+    ze = fe @ reg.extract_w.T + reg.extract_b
+    z = np.hstack([zx, ze])
+    h = np.tanh(z @ reg.head_w1.T + reg.head_b1)
     logit = h @ reg.head_w2 + reg.head_b2[0]
     return _sigmoid(logit), (z, h, logit)
 
@@ -131,10 +127,7 @@ def _loss_and_grad(reg: MrRegressor, fx, fe, taus):
     dlogit = (2.0 / n) * resid * pred * (1.0 - pred)
     d_w2 = dlogit @ h
     d_b2 = np.array([dlogit.sum()])
-    dz1 = np.outer(dlogit, reg.head_w2)
-    slope = np.square(h, out=h)  # 1 - h^2 in h's place: h is used up
-    np.subtract(1.0, slope, out=slope)
-    dz1 *= slope
+    dz1 = np.outer(dlogit, reg.head_w2) * (1.0 - h ** 2)
     d_w1 = dz1.T @ z
     d_b1 = dz1.sum(axis=0)
     dz = dz1 @ reg.head_w1

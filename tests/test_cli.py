@@ -157,6 +157,10 @@ BAD_CONFIG_VALUES = {
     # 16,778 items of 8,000 samples are past cli.MAX_DATASET_SAMPLES
     "n_train_past_cap": ("train-vel", ["--set", "n_train=16778"]),
     "n_eval_past_cap": ("gen-data", ["--set", "n_eval=16778"]),
+    # one sample at 2^40 Hz, past what a WAV header holds
+    "sample_rate_past_wav_cap": ("gen-data", [
+        "--set", "sample_rate_hz=1099511627776", "--set", "duration_s=1e-12",
+        "--set", "n_eval=1"]),
 }
 
 
@@ -192,6 +196,10 @@ CAPS = {
                  "sample_rate_hz": 2 ** 10}, "n_train"),
     "n_eval": ({"n_eval": 2 ** 17, "duration_s": 1.0,
                 "sample_rate_hz": 2 ** 10}, "n_eval"),
+    # 64 samples per waveform
+    "sample_rate_hz": ({"sample_rate_hz": cli.MAX_SAMPLE_RATE_HZ,
+                        "duration_s": 64 / cli.MAX_SAMPLE_RATE_HZ},
+                       "sample_rate_hz"),
 }
 
 
@@ -203,6 +211,15 @@ def test_load_config_caps_are_inclusive(case):
     past[key] = str(at_cap[key] + 1)
     with pytest.raises(ConfigError, match="above"):
         load_config(None, past)
+
+
+def test_gen_data_at_sample_rate_cap(tmp_path):
+    rate = cli.MAX_SAMPLE_RATE_HZ
+    assert main(["gen-data", "--out", str(tmp_path), "--set", "n_eval=1",
+                 "--set", f"sample_rate_hz={rate}",
+                 "--set", f"duration_s={64 / rate!r}"]) == 0
+    w = read_wav(tmp_path / "dataset" / "item_0000_x.wav")
+    assert w.sample_rate_hz == rate and w.samples.size == 64
 
 
 def test_exit_code_io_error(tmp_path):
@@ -759,11 +776,8 @@ def test_extract_rate_differs_from_checkpoint(run_dir, tmp_path):
 # ---------------------------------------------------------------------------
 # Work counts and determinism
 
-def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
-    # one STFT per distinct waveform of an item: x, e, s1 and each distinct
-    # estimate (a passthrough in ablate is x itself, and nfe-sweep budgets
-    # with one step count share one estimate); exact, so a front end that
-    # bypasses stft cannot pass with 0
+def _count_stft(monkeypatch) -> list:
+    """A list that gains one entry per STFT from now on."""
     calls = []
     real_stft = signal.stft
 
@@ -773,6 +787,15 @@ def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
 
     for module in (signal, velnet, mrnet, metrics):
         monkeypatch.setattr(module, "stft", counting_stft)
+    return calls
+
+
+def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
+    # one STFT per distinct waveform of an item: x, e, s1 and each distinct
+    # estimate (a passthrough is x itself, and nfe-sweep budgets with one
+    # step count share one estimate); exact, so a front end that bypasses
+    # stft cannot pass with 0
+    calls = _count_stft(monkeypatch)
     ck = _cfg(run_dir).output_dir
     cfg = dataclasses.replace(_cfg(run_dir), output_dir=str(tmp_path))
     data = Path(ck) / "dataset"
@@ -792,14 +815,27 @@ def test_stft_calls_per_item(run_dir, tmp_path, monkeypatch):
                 if r[col["mr_source"]] == "estimated"
                 and r[col["field"]] == "net"]
     distinct = [len({sampler.build_schedule(tau_hat, sampler.NfePolicy(
-        max_nfe=n, epsilon=cfg.epsilon)).nfe for n in cli.NFE_SWEEP_VALUES})
-        for tau_hat in tau_hats]
+        max_nfe=n, epsilon=cfg.epsilon)).nfe for n in cli.NFE_SWEEP_VALUES}
+        - {0}) for tau_hat in tau_hats]
     assert per_item(lambda: cli.cmd_nfe_sweep(cfg, ck), cfg.n_eval) == \
         3 + sum(distinct) / cfg.n_eval
     assert per_item(lambda: cli.cmd_extract(
         cfg, data / "item_0000_x.wav", data / "item_0000_e.wav",
         tmp_path / "o.wav", reference=data / "item_0000_s1.wav",
         ckpt_dir=ck), 1) == 4
+
+
+def test_nfe_sweep_passthrough_scored_on_x_record(run_dir, tmp_path,
+                                                  monkeypatch):
+    # tau_hat = 0.9995 passes every budget through: x's record, built once
+    # with its dB matrix, is the scored record of all of them
+    monkeypatch.setattr(mrnet, "mr_predict", lambda reg, x, e: 0.9995)
+    calls = _count_stft(monkeypatch)
+    cfg = dataclasses.replace(_cfg(run_dir), output_dir=str(tmp_path))
+    cli.cmd_nfe_sweep(cfg, _cfg(run_dir).output_dir)
+    assert len(calls) == 3 * cfg.n_eval  # x, e and s1
+    assert (tmp_path / "nfe_sweep.csv").read_text("utf-8") \
+        == _reference_nfe_sweep_csv(_cfg(run_dir), "net")
 
 
 def test_ablate_independent_of_blas_threads(run_dir, tmp_path):

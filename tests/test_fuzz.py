@@ -3,9 +3,13 @@ or overwritten must end in an exit code of the contract, never in an
 exception escaping `adflow.cli.main`. A damaged training-set store is only
 a cache miss: `train-mr` must succeed with the outputs of the pristine run.
 Any `--set key=value` must end in exit 2 or, once the config is accepted,
-at the missing checkpoints of an empty directory with exit 4."""
+at the missing checkpoints of an empty directory with exit 4; under
+`gen-data`, which runs, in exit 0, 2 or 4. An `output_dir` is either
+read back from `effective_config.txt` as it was given or rejected before
+anything is written."""
 
 import dataclasses
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adflow.cli import RunConfig, main
+from adflow.cli import RunConfig, load_config, main
 
 CONFIG = """
 seed = 0
@@ -105,7 +109,8 @@ def test_overwritten_input_keeps_exit_contract(pristine, target, where,
 
 # Extremes for every field type; the surrogate is what a non-UTF-8 byte in
 # argv decodes to.
-EXTREME_VALUES = ("0", "-1", str(2 ** 63), "9" * 5000, "-" + "9" * 400,
+EXTREME_VALUES = ("0", "-1", str(2 ** 32), str(2 ** 63), "9" * 5000,
+                  "-" + "9" * 400,
                   "inf", "-inf", "nan", "1e308", "-1e308", "-0.0", "5e-324",
                   "", "\udcff", "1_000", "0x10")
 
@@ -126,3 +131,59 @@ def test_config_value_keeps_exit_contract(empty_dir, key, value):
                  "--set", f"{key}={value}"])
     assert code in (2, 4)
     assert not any(empty_dir.iterdir())
+
+
+GEN_DATA_BASE = {"n_eval": 1, "sample_rate_hz": 16000, "duration_s": 0.004}
+
+
+def _sized(key: str, value: str) -> dict:
+    """`--set` pairs for `key=value` on top of GEN_DATA_BASE, sized so that
+    every accepted config synthesizes about 64 samples per waveform kind:
+    a fuzzed rate, duration or item count sets the duration or the rate."""
+    try:
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    pairs = dict(GEN_DATA_BASE, **{key: value})
+    if not (math.isfinite(v) and v > 0) or math.isinf(64 / v):
+        return pairs
+    if key == "sample_rate_hz":
+        pairs["duration_s"] = repr(64 / v)
+    elif key == "duration_s":
+        pairs["sample_rate_hz"] = str(round(64 / v))
+    elif key == "n_eval":
+        pairs["duration_s"] = repr(64 / (v * 16000))
+    return pairs
+
+
+@FUZZ
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(RunConfig)
+                            if f.name != "output_dir"]),
+       value=st.one_of(st.sampled_from(EXTREME_VALUES),
+                       st.integers().map(str), st.floats().map(repr),
+                       st.text(max_size=12)))
+def test_gen_data_config_value_keeps_exit_contract(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [arg for k, v in _sized(key, value).items()
+                for arg in ("--set", f"{k}={v}")]
+        assert main(["gen-data", "--out", str(Path(tmp) / "out"),
+                     *args]) in (0, 2, 4)
+
+
+@FUZZ
+@given(suffix=st.text(st.one_of(st.sampled_from("# =\t\n\r\x0b\x0c\x1c"
+                                                 "\x85\u2028\u2029"),
+                                st.characters(blacklist_characters="/")),
+                      max_size=6))
+def test_output_dir_reads_back_or_is_rejected(suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out") + suffix
+        code = main(["gen-data", "--out", out, "--set", "n_eval=1",
+                     "--set", "duration_s=0.004"])
+        if code == 0:
+            assert load_config(Path(out) / "effective_config.txt") == \
+                load_config(None, {"output_dir": out, "n_eval": "1",
+                                   "duration_s": "0.004"})
+        else:
+            assert code == 2
+            assert not any(Path(tmp).iterdir())

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adflow.errors import DegenerateInputError, ShapeError
+from adflow import signal
 from adflow.metrics import (SI_SDR_CAP_DB, EvalReport, REPORT_COLUMNS, lsd,
-                            reference, scores, si_sdr, sim)
+                            scorer, si_sdr, sim)
 from adflow.mrnet import MrRegressor, mr_embed
 from adflow.sampler import (NfePolicy, OracleField, extract_adaptive,
                             oracle_mr)
-from adflow.signal import DatasetConfig, Waveform, make_dataset
+from adflow.signal import (DatasetConfig, SpectralRecord, Waveform,
+                           make_dataset, spectral_record)
 
 
 def _noise(seed, n=4000):
@@ -99,7 +101,8 @@ def test_lsd_length_mismatch():
 
 def _extractor():
     reg = MrRegressor.create(0)
-    return lambda w: mr_embed(reg, w if isinstance(w, Waveform)
+    return lambda w: mr_embed(reg, w if isinstance(w, (Waveform,
+                                                       SpectralRecord))
                               else Waveform(np.asarray(w)))
 
 
@@ -151,12 +154,27 @@ def test_report_csv_row_order_and_format():
     assert row == ["0.5", "0.25", "3", "1.25", "-0.5", "2.0", "0.75"]
 
 
-def test_evaluate_consistent_with_parts():
+def test_evaluate_consistent_with_parts(monkeypatch):
     ext = _extractor()
     item = make_dataset(1, "uniform", DatasetConfig(duration_s=0.125),
                         seed=13)[0]
-    rep = EvalReport(**scores(item.x, reference(item.x, item.s1, ext)),
-                     nfe_used=2, tau_true=item.tau, tau_hat=0.5)
+    calls = []
+    real_stft = signal.stft
+
+    def counting_stft(*args, **kwargs):
+        calls.append(1)
+        return real_stft(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "stft", counting_stft)
+    score = scorer(item.x, item.s1, ext)
+    assert len(calls) == 1  # s1's record, read by SI-SDR, LSD and SIM
+    scored = score(item.x)
+    assert len(calls) == 2  # the estimate's record, built once
+    rec = spectral_record(item.x, keep_db=True)
+    calls.clear()
+    # a record with its dB matrix at the LSD framing is read as it is
+    assert score(rec) == scored and not calls
+    rep = EvalReport(**scored, nfe_used=2, tau_true=item.tau, tau_hat=0.5)
     assert rep.si_sdr_db == si_sdr(item.x, item.s1)
     assert rep.si_sdr_improvement_db == 0.0
     assert rep.lsd_db == lsd(item.x, item.s1)
