@@ -17,10 +17,11 @@ from .errors import DegenerateInputError
 # stft, stats_features, AdamW and clip_gradients are bound here by name only
 # so that perfbench's tracer, which rebinds them in this module, finds them:
 # spectra come from spectral_record and training runs in velnet.fit.
-from .signal import (DEFAULT_SAMPLE_RATE, Waveform, read_tensor_stream,  # noqa: F401
-                     samples_of, spectral_record, stft)
-from .velnet import (AdamW, TrainConfig, _read_header,  # noqa: F401
-                     _write_checkpoint, clip_gradients, fit, stats_features)
+from .signal import (DEFAULT_SAMPLE_RATE, Waveform,  # noqa: F401
+                     read_checkpoint, samples_of, spectral_record, stft,
+                     write_checkpoint)
+from .velnet import (AdamW, TrainConfig, clip_gradients,  # noqa: F401
+                     fit, stats_features)
 
 # Logit bound keeping sigmoid strictly inside (0,1) in float64.
 _LOGIT_CLIP = 30.0
@@ -161,11 +162,10 @@ def mr_oracle_lsq(x, s1, b) -> float:
 
 
 def save_mrnet(path, reg: MrRegressor) -> None:
-    _write_checkpoint(
-        path, f"{_MR_HEADER} embed_dim={reg.extract_b.size} "
-        f"hidden_dim={reg.head_b1.size} "
-        f"feat_n_fft={reg.feat_n_fft} feat_hop={reg.feat_hop} "
-        f"sample_rate_hz={reg.sample_rate_hz}", reg.parameters())
+    write_checkpoint(path, _MR_HEADER, {
+        "embed_dim": reg.extract_b.size, "hidden_dim": reg.head_b1.size,
+        "feat_n_fft": reg.feat_n_fft, "feat_hop": reg.feat_hop,
+        "sample_rate_hz": reg.sample_rate_hz}, reg.parameters())
 
 
 def load_mrnet(path) -> MrRegressor:
@@ -174,14 +174,13 @@ def load_mrnet(path) -> MrRegressor:
     The float32 tensors are upcast: the regressor computes in float64, which
     costs little next to the velocity field and keeps tau_hat as it was.
     """
-    with open(path, "rb") as f:
-        embed, hidden, n_fft, hop, rate = _read_header(
-            f, path, _MR_HEADER, lambda kv: [int(kv[k]) for k in (
-                "embed_dim", "hidden_dim", "feat_n_fft", "feat_hop",
-                "sample_rate_hz")])
-        shapes = [(embed, 3 * (n_fft // 2 + 1) + 1), (embed,),
-                  (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
-        tensors = [read_tensor_stream(f, shape).astype(np.float64)
-                   for shape in shapes]
-    return MrRegressor(*tensors, feat_n_fft=n_fft, feat_hop=hop,
-                       sample_rate_hz=rate)
+    def shapes(m):  # in the order of MrRegressor.parameters
+        embed, hidden = m["embed_dim"], m["hidden_dim"]
+        return [(embed, 3 * (m["feat_n_fft"] // 2 + 1) + 1), (embed,),
+                (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
+
+    meta, tensors = read_checkpoint(path, _MR_HEADER, shapes)
+    return MrRegressor(*(t.astype(np.float64) for t in tensors),
+                       feat_n_fft=meta["feat_n_fft"],
+                       feat_hop=meta["feat_hop"],
+                       sample_rate_hz=meta["sample_rate_hz"])

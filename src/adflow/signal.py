@@ -390,9 +390,6 @@ def _stft_frames(n: int, n_fft: int, hop: int) -> int:
 # bytes; at 8,000 samples with 256/64 framing one takes about 0.76 MB.
 _WORKSPACE_MAX_BYTES = 16 * 2 ** 20
 
-# Workspaces a thread keeps, the least recently used dropped first.
-_WORKSPACES_PER_THREAD = 4
-
 _thread_state = threading.local()
 
 
@@ -403,23 +400,20 @@ def _workspace(n: int, n_fft: int, hop: int) -> tuple:
     complex spectrum and |X| (both (bins, frames), F-ordered like the
     transposed `rfft` output), and the squared samples.
 
-    A thread keeps them by (n, n_fft, hop) in a dict whose insertion order
-    is the LRU order. A set above `_WORKSPACE_MAX_BYTES` is new on every
-    call and not kept.
+    A thread keeps the last set it made, as `(key, arrays)` with key
+    (n, n_fft, hop), and makes a new one when the key differs. A set above
+    `_WORKSPACE_MAX_BYTES` is new on every call and not kept.
     """
-    kept = _thread_state.__dict__.setdefault("workspaces", {})
     key = (n, n_fft, hop)
-    ws = kept.pop(key, None)
-    if ws is None:
-        nf = _stft_frames(n, n_fft, hop)
-        ws = (np.zeros((nf - 1) * hop + n_fft), np.empty((nf, n_fft)),
-              np.empty((nf, n_fft // 2 + 1), dtype=np.complex128).T,
-              np.empty((nf, n_fft // 2 + 1)).T, np.empty(n))
-        if sum(arr.nbytes for arr in ws) > _WORKSPACE_MAX_BYTES:
-            return ws
-    kept[key] = ws
-    if len(kept) > _WORKSPACES_PER_THREAD:
-        del kept[next(iter(kept))]
+    kept = getattr(_thread_state, "workspace", None)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    nf = _stft_frames(n, n_fft, hop)
+    ws = (np.zeros((nf - 1) * hop + n_fft), np.empty((nf, n_fft)),
+          np.empty((nf, n_fft // 2 + 1), dtype=np.complex128).T,
+          np.empty((nf, n_fft // 2 + 1)).T, np.empty(n))
+    if sum(arr.nbytes for arr in ws) <= _WORKSPACE_MAX_BYTES:
+        _thread_state.workspace = (key, ws)
     return ws
 
 
@@ -525,7 +519,7 @@ def istft(s: Spectrogram, out_len: int,
 
 
 # ---------------------------------------------------------------------------
-# WAV (16-bit PCM mono) and raw tensor ("ADFT") files
+# WAV (16-bit PCM mono), raw tensor ("ADFT") and checkpoint files
 
 def write_wav(path, w: Waveform) -> None:
     ints = np.clip(np.round(w.samples / WAV_FULL_SCALE * 32767.0),
@@ -617,3 +611,36 @@ def write_tensor(path, arr: np.ndarray) -> None:
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as f:
         return read_tensor_stream(f)
+
+
+def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
+    """Write the header `magic key=value ...` of `meta`, then `tensors`."""
+    header = " ".join([magic, *(f"{k}={v}" for k, v in meta.items())])
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii") + b"\n")
+        for t in tensors:
+            write_tensor_stream(f, t)
+
+
+def read_checkpoint(path, magic: str, shapes) -> tuple:
+    """(meta, tensors) of a `write_checkpoint` file. A header value is an
+    int, or a tuple of ints where it holds commas; `sample_rate_hz` defaults
+    to 16 kHz, and `feat_n_fft` with `feat_hop` must be a framing `stft`
+    runs. `shapes(meta)` lists the tensor shapes or raises ValueError."""
+    with open(path, "rb") as f:
+        try:
+            header = f.readline().decode("ascii")
+            if not header.startswith(magic):
+                raise FileFormatError(f"{path}: not an {magic} checkpoint")
+            meta = {"sample_rate_hz": DEFAULT_SAMPLE_RATE}
+            for token in header[len(magic):].split():
+                key, value = token.split("=")
+                meta[key] = (tuple(map(int, value.split(","))) if "," in value
+                             else int(value))
+            _stft_frames(1, meta["feat_n_fft"], meta["feat_hop"])
+            expected = shapes(meta)
+        # TypeError: a tuple where an int belongs, or the other way round
+        except (ValueError, KeyError, TypeError, ParameterError) as exc:
+            raise FileFormatError(f"{path}: bad checkpoint header "
+                                  f"({exc!r})") from exc
+        return meta, [read_tensor_stream(f, shape) for shape in expected]

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flowpath
-from .errors import DivergenceError, FileFormatError, ParameterError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
-from .signal import (DEFAULT_SAMPLE_RATE, read_tensor_stream,  # noqa: F401
-                     spectral_record, stft, write_tensor_stream)
+from .signal import (DEFAULT_SAMPLE_RATE, read_checkpoint,  # noqa: F401
+                     spectral_record, stft, write_checkpoint)
 
 DEFAULT_FRAME_LEN = 64
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -418,68 +418,34 @@ def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
 
 _VEL_HEADER = "ADFLOW-VELNET v1"
 
-
-def _read_header(f, path, magic: str, parse):
-    """`parse(kv)` of a checkpoint's `key=value` header line (a header
-    without `sample_rate_hz` reads as 16 kHz); a malformed header raises
-    FileFormatError."""
-    try:
-        header = f.readline().decode("ascii").strip()
-        if not header.startswith(magic):
-            raise FileFormatError(f"{path}: not an {magic} checkpoint")
-        kv = {"sample_rate_hz": str(DEFAULT_SAMPLE_RATE)}
-        kv.update(tok.split("=") for tok in header.split()[2:])
-        return parse(kv)
-    except (ValueError, KeyError) as exc:
-        raise FileFormatError(f"{path}: bad checkpoint header "
-                              f"({exc!r})") from exc
-
-
-def _write_checkpoint(path, header: str, tensors: list) -> None:
-    """Write a checkpoint: the `header` line, then `tensors` in order."""
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii") + b"\n")
-        for t in tensors:
-            write_tensor_stream(f, t)
+# header key -> VelocityNet field, in header order after `dims`
+_VEL_FIELDS = {"frame_len": "frame_len", "tau_dim": "tau_embed_dim",
+               "enroll_dim": "enroll_embed_dim", "feat_n_fft": "feat_n_fft",
+               "feat_hop": "feat_hop", "sample_rate_hz": "sample_rate_hz"}
 
 
 def save_velnet(path, net: VelocityNet) -> None:
     dims = ",".join(str(d) for d in net.layer_dims)
-    _write_checkpoint(
-        path, f"{_VEL_HEADER} dims={dims} frame_len={net.frame_len} "
-        f"tau_dim={net.tau_embed_dim} enroll_dim={net.enroll_embed_dim} "
-        f"feat_n_fft={net.feat_n_fft} feat_hop={net.feat_hop} "
-        f"sample_rate_hz={net.sample_rate_hz}",
+    write_checkpoint(path, _VEL_HEADER, {"dims": dims, **{
+        key: getattr(net, name) for key, name in _VEL_FIELDS.items()}},
         net.parameters() + [net.enroll_proj])
 
 
 def load_velnet(path) -> VelocityNet:
-    """Read a checkpoint; a malformed one raises FileFormatError.
+    """Read a checkpoint; a malformed one, or one of a net that cannot run,
+    raises FileFormatError. Tensors stay float32, so the loaded net
+    computes in float32."""
+    def shapes(m):  # (weight, bias) per layer, then the projection
+        dims, fl, tau, enroll = (m["dims"], m["frame_len"], m["tau_dim"],
+                                 m["enroll_dim"])
+        if fl < 1 or tau < 0 or tau % 2 or \
+                dims[0] != 3 * fl + enroll + tau or dims[-1] != fl:
+            raise ValueError(f"no net runs dims={dims} with frame_len={fl},"
+                             f" tau_dim={tau} and enroll_dim={enroll}")
+        return [shape for fan_in, fan_out in zip(dims[:-1], dims[1:])
+                for shape in ((fan_out, fan_in), (fan_out,))] + \
+            [(enroll, 2 * (m["feat_n_fft"] // 2 + 1))]
 
-    Tensors stay float32, so the loaded net computes in float32.
-    """
-    def parse(kv):
-        return ([int(d) for d in kv["dims"].split(",")],
-                dict(frame_len=int(kv["frame_len"]),
-                     tau_embed_dim=int(kv["tau_dim"]),
-                     enroll_embed_dim=int(kv["enroll_dim"]),
-                     feat_n_fft=int(kv["feat_n_fft"]),
-                     feat_hop=int(kv["feat_hop"]),
-                     sample_rate_hz=int(kv["sample_rate_hz"])))
-
-    with open(path, "rb") as f:
-        dims, meta = _read_header(f, path, _VEL_HEADER, parse)
-        frame_len = meta["frame_len"]
-        in_dim = 3 * frame_len + meta["enroll_embed_dim"] + \
-            meta["tau_embed_dim"]
-        if len(dims) < 2 or dims[0] != in_dim or dims[-1] != frame_len:
-            raise FileFormatError(f"{path}: dims {dims} do not fit the "
-                                  "header's frame and embedding sizes")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(read_tensor_stream(f, (fan_out, fan_in)))
-            biases.append(read_tensor_stream(f, (fan_out,)))
-        proj = read_tensor_stream(f, (meta["enroll_embed_dim"],
-                                      2 * (meta["feat_n_fft"] // 2 + 1)))
-    return VelocityNet(weights=weights, biases=biases, enroll_proj=proj,
-                       **meta)
+    meta, (*params, proj) = read_checkpoint(path, _VEL_HEADER, shapes)
+    return VelocityNet(params[0::2], params[1::2], proj, **{
+        name: meta[key] for key, name in _VEL_FIELDS.items()})

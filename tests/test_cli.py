@@ -242,6 +242,11 @@ def _edit_header(path: Path, edit) -> None:
     path.write_bytes(edit(header) + b"\n" + rest)
 
 
+def _set_header(path: Path, key: bytes, value: bytes) -> None:
+    _edit_header(path, lambda h: re.sub(rb" %s=\S+" % key,
+                                        b" %s=%s" % (key, value), h))
+
+
 def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
 
@@ -254,6 +259,19 @@ CORRUPT_CHECKPOINTS = {
         ck / "velnet.ckpt", lambda h: b"ADFLOW-VELNET v1 no pairs here"),
     "mrnet_without_feat_n_fft": lambda ck: _edit_header(
         ck / "mrnet.ckpt", lambda h: re.sub(rb" feat_n_fft=\d+", b"", h)),
+    # headers and nets that parse but cannot run
+    "velnet_feat_hop_zero": lambda ck: _set_header(
+        ck / "velnet.ckpt", b"feat_hop", b"0"),
+    "mrnet_feat_hop_zero": lambda ck: _set_header(
+        ck / "mrnet.ckpt", b"feat_hop", b"0"),
+    "mrnet_feat_hop_past_cola": lambda ck: _set_header(
+        ck / "mrnet.ckpt", b"feat_hop", b"200"),
+    "velnet_frame_len_zero": lambda ck: velnet.save_velnet(
+        ck / "velnet.ckpt", velnet.VelocityNet.create(0, frame_len=0)),
+    "velnet_tau_dim_odd": lambda ck: velnet.save_velnet(
+        ck / "velnet.ckpt", velnet.VelocityNet.create(0, tau_embed_dim=3)),
+    "velnet_tau_dim_negative": lambda ck: velnet.save_velnet(
+        ck / "velnet.ckpt", velnet.VelocityNet.create(0, tau_embed_dim=-2)),
 }
 
 
@@ -263,6 +281,8 @@ def test_exit_code_corrupt_checkpoint(run_dir, tmp_path, corruption):
     CORRUPT_CHECKPOINTS[corruption](ck)
     assert main(["ablate", "--config", str(run_dir / "run.cfg"),
                  "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
+    # the checkpoints are read before the eval set is
+    assert not (tmp_path / "o" / "eval_set.adfd").exists()
 
 
 def _nan_first_weight(path: Path) -> None:

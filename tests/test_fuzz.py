@@ -1,6 +1,8 @@
 """Damaged inputs through the CLI: checkpoints and WAVs with bytes cut off
 or overwritten must end in an exit code of the contract, never in an
-exception escaping `adflow.cli.main`. A damaged training-set store is only
+exception escaping `adflow.cli.main`; a cut one, and a checkpoint header
+value set to an extreme integer, must end in exit 4 (or 0 for a header
+value the nets can run). A damaged training-set store is only
 a cache miss: `train-mr` must succeed with the outputs of the pristine run.
 Any `--set key=value` must end in exit 2 or, once the config is accepted,
 at the missing checkpoints of an empty directory with exit 4; under
@@ -10,6 +12,7 @@ anything is written."""
 
 import dataclasses
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -86,7 +89,7 @@ def test_truncated_input_fails_closed(pristine, target, keep):
     def cut(data):
         return data[:int(keep * len(data))]
 
-    expect = (0,) if target == STORE else (1, 2, 3, 4)
+    expect = (0,) if target == STORE else (4,)
     assert _run_on_damaged(pristine, target, cut) in expect
 
 
@@ -103,8 +106,38 @@ def test_overwritten_input_keeps_exit_contract(pristine, target, where,
         at = int(where * len(data))
         return data[:at] + patch[:len(data) - at] + data[at + len(patch):]
 
-    expect = (0,) if target == STORE else (0, 1, 2, 3, 4)
+    if target == STORE:
+        expect = (0,)
+    elif target.endswith(".ckpt"):  # a checkpoint is not the config
+        expect = (0, 1, 3, 4)
+    else:
+        expect = (0, 1, 2, 3, 4)
     assert _run_on_damaged(pristine, target, overwrite) in expect
+
+
+HEADER_KEYS = {"velnet.ckpt": ("dims", "frame_len", "tau_dim", "enroll_dim",
+                               "feat_n_fft", "feat_hop", "sample_rate_hz"),
+               "mrnet.ckpt": ("embed_dim", "hidden_dim", "feat_n_fft",
+                              "feat_hop", "sample_rate_hz")}
+
+
+@FUZZ
+@given(field=st.sampled_from([(target, key) for target, keys in
+                              HEADER_KEYS.items() for key in keys]),
+       value=st.one_of(st.sampled_from((0, -1, 1, 3, 255, 2 ** 31, 2 ** 32)),
+                       st.integers(-2 ** 40, 2 ** 40)))
+def test_header_value_keeps_exit_contract(pristine, field, value):
+    # a header value the nets cannot run is a damaged checkpoint
+    target, key = field
+
+    def edit(data):
+        header, rest = data.split(b"\n", 1)
+        header, n = re.subn(rb" %s=\S+" % key.encode(),
+                            b" %s=%d" % (key.encode(), value), header)
+        assert n == 1
+        return header + b"\n" + rest
+
+    assert _run_on_damaged(pristine, target, edit) in (0, 4)
 
 
 # Extremes for every field type; the surrogate is what a non-UTF-8 byte in

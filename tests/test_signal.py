@@ -405,7 +405,8 @@ def test_records_do_not_alias_the_workspace():
     second = signal.spectral_record(_noise(8000, 2), keep_db=True)
     assert _bytes_of(first) == kept
     assert _bytes_of(second) != kept
-    ws = signal._thread_state.workspaces[(8000, 256, 64)]
+    key, ws = signal._thread_state.workspace
+    assert key == (8000, 256, 64)
     for arr in (first.profile, first.stats, first.db):
         assert not any(np.shares_memory(arr, buf) for buf in ws)
 
@@ -435,19 +436,19 @@ def test_records_from_threads_equal_sequential():
 
 
 def test_workspace_above_cap_is_not_kept():
+    signal.spectral_record(_noise(100, 100))
     n = 200_000
     assert sum(arr.nbytes for arr in signal._workspace(n, 256, 64)) > \
         signal._WORKSPACE_MAX_BYTES
     w = _noise(n, 5)
     rec = signal.spectral_record(w, keep_db=True)
     assert _bytes_of(rec) == _record_bytes(_reference_record(w, 256, 64, True))
-    assert (n, 256, 64) not in signal._thread_state.workspaces
-    # below the cap a thread keeps the most recently used few
-    for n in range(100, 100 + 2 * signal._WORKSPACES_PER_THREAD):
+    # the one kept before stays; below the cap a thread keeps only the
+    # last one it used
+    assert signal._thread_state.workspace[0] == (100, 256, 64)
+    for n in (101, 100):
         signal.spectral_record(_noise(n, n))
-    kept = signal._thread_state.workspaces
-    assert len(kept) == signal._WORKSPACES_PER_THREAD
-    assert (n, 256, 64) in kept
+        assert signal._thread_state.workspace[0] == (n, 256, 64)
 
 
 def test_plain_stft_not_changed_by_later_record():
