@@ -108,10 +108,12 @@ def extract(x: Waveform, e: Waveform, field, schedule: Schedule):
         return Waveform(x.samples.copy(), x.sample_rate_hz), 0
     cur = x.samples.copy()
     for j in range(schedule.nfe):
-        v = field(cur, float(schedule.taus[j]))
-        cur = euler_step(cur, v, float(schedule.taus[j + 1] - schedule.taus[j]))
+        tau, tau_next = float(schedule.taus[j]), float(schedule.taus[j + 1])
+        v = field(cur, tau)
+        cur = euler_step(cur, v, tau_next - tau)
         if not np.all(np.isfinite(cur)):
-            raise DivergenceError(f"non-finite state at step {j}")
+            raise DivergenceError(f"non-finite state at step {j} "
+                                  f"(tau {tau!r} -> {tau_next!r})")
     return Waveform(cur, x.sample_rate_hz), schedule.nfe
 
 

@@ -8,6 +8,7 @@ amplitude ratio between target and background.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -220,14 +221,18 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class MixtureItem:
-    """One supervised item: mixture, enrollment, target, background, tau."""
+    """One supervised item: enrollment, target, background, tau, and the
+    mixture x, which is mixed from s1 and b on its first read and kept."""
 
-    x: Waveform
     e: Waveform
     s1: Waveform
     b: Waveform
     tau: float
     spec: MixtureSpec
+
+    @functools.cached_property
+    def x(self) -> Waveform:
+        return mix(self.s1, self.b, self.tau)
 
 
 def _draw_item(rng: np.random.Generator, fixed_tau):
@@ -294,6 +299,22 @@ def _read_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
         return None
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A binary file to write that replaces `path` when the block exits
+    normally: a temp file beside it, then `os.replace`. If the block
+    raises, `path` stays as it was and the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_store(path, prefix: bytes, waves: list) -> None:
     """Atomically replace the store at `path` with `waves`; one waveform
     is written at a time."""
@@ -302,17 +323,10 @@ def _write_store(path, prefix: bytes, waves: list) -> None:
     crc = 0
     for arr in payload:
         crc = zlib.crc32(arr, crc)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(prefix + b"%08x\n" % crc)
-            for arr in payload:
-                f.write(arr)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_open(path) as f:
+        f.write(prefix + b"%08x\n" % crc)
+        for arr in payload:
+            f.write(arr)
 
 
 def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
@@ -327,7 +341,8 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     from that file when it holds this dataset and passes its checks (see
     `_read_store`); otherwise they are synthesized and the file is
     atomically replaced. Every item is the same either way: synthesis draws
-    nothing from the dataset generator, and x is mixed again from s1 and b.
+    nothing from the dataset generator, and x is mixed from s1 and b on its
+    first read (see `MixtureItem`).
     """
     if n_items <= 0:
         raise ParameterError("n_items must be positive")
@@ -354,8 +369,7 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
         waves = [_synth_item(plan, cfg) for plan in plans]
         if store is not None:
             _write_store(store, prefix, waves)
-    return [MixtureItem(x=mix(s1, b, spec.tau), e=e, s1=s1, b=b,
-                        tau=spec.tau, spec=spec)
+    return [MixtureItem(e=e, s1=s1, b=b, tau=spec.tau, spec=spec)
             for (spec, *_), (s1, e, b) in zip(plans, waves)]
 
 
@@ -614,9 +628,10 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
-    """Write the header `magic key=value ...` of `meta`, then `tensors`."""
+    """Atomically replace `path` with the header `magic key=value ...` of
+    `meta`, then `tensors`."""
     header = " ".join([magic, *(f"{k}={v}" for k, v in meta.items())])
-    with open(path, "wb") as f:
+    with _atomic_open(path) as f:
         f.write(header.encode("ascii") + b"\n")
         for t in tensors:
             write_tensor_stream(f, t)

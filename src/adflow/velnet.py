@@ -140,17 +140,25 @@ def _forward(net: VelocityNet, rows: np.ndarray):
 
 
 def _backward(net: VelocityNet, acts: list, d_out: np.ndarray) -> list:
-    """Gradients of a scalar loss wrt parameters, given dLoss/dOutput."""
+    """Gradients of a scalar loss wrt parameters, given dLoss/dOutput.
+
+    Consumes `acts`, the list `_forward` returned: each activation is
+    popped before its last read and a hidden one becomes its tanh slope in
+    place, so it is freed once its step is done.
+    """
     grads = [None] * (2 * len(net.weights))
+    del acts[-1]  # the output: not read
     dz = d_out
     for i in range(len(net.weights) - 1, -1, -1):
-        grads[2 * i] = dz.T @ acts[i]
+        act = acts.pop()
+        grads[2 * i] = dz.T @ act
         grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
             dz = dz @ net.weights[i]
-            slope = np.square(acts[i])  # acts[i] = tanh(z_{i-1})
-            np.subtract(1.0, slope, out=slope)
-            dz *= slope
+            # act = tanh(z_{i-1}) becomes its slope 1 - act^2
+            np.square(act, out=act)
+            np.subtract(1.0, act, out=act)
+            dz *= act
     return grads
 
 
@@ -223,7 +231,7 @@ def otcfm_loss_and_grad(net: VelocityNet, batch: list):
     net.parameters(). The rows of all items, their framed targets and the
     mask of their unpadded samples are written into one matrix each, in
     the weights' dtype, and the whole batch takes one forward and one
-    backward pass.
+    backward pass; targets and mask are dropped once the residual is formed.
     """
     fl = net.frame_len
     sizes = []
@@ -249,6 +257,7 @@ def otcfm_loss_and_grad(net: VelocityNet, batch: list):
     diff, acts = _forward(net, rows)
     diff -= targets
     diff *= mask
+    del targets, mask
     loss = float(np.sum(diff ** 2) / total)
     diff *= 2.0
     diff /= total

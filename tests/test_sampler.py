@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,13 +146,16 @@ def test_extract_overshoot_when_seeded_too_low():
 
 def test_extract_divergence_detected():
     item = _item(4)
-
-    def bad_field(x, tau):
-        return np.full_like(x, np.inf)
-
     sched = build_schedule(0.2, NfePolicy(max_nfe=2))
-    with pytest.raises(DivergenceError):
-        extract(item.x, item.e, bad_field, sched)
+    for step in (0, 1):
+        def bad_field(x, tau):  # finite before the grid point of `step`
+            return np.full_like(x, np.inf if tau >= sched.taus[step] else 0.0)
+
+        taus = [float(t) for t in sched.taus[step:step + 2]]
+        message = f"non-finite state at step {step} (tau {taus[0]!r} -> " \
+            f"{taus[1]!r})"
+        with pytest.raises(DivergenceError, match=re.escape(message) + "$"):
+            extract(item.x, item.e, bad_field, sched)
 
 
 def test_misseeding_error_is_linear_in_tau_error():

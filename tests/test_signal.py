@@ -197,9 +197,13 @@ def test_make_dataset_deterministic():
 
 
 def test_make_dataset_mixture_consistent():
+    # x is mixed on its first read, byte for byte as `mix` does, and kept
     for item in make_dataset(3, "uniform", CFG, seed=4):
+        assert "x" not in vars(item)
+        x = item.x
         expect = mix(item.s1, item.b, item.tau)
-        assert np.array_equal(item.x.samples, expect.samples)
+        assert x.samples.tobytes() == expect.samples.tobytes()
+        assert item.x is x
 
 
 def test_make_dataset_rejects_bad_args():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from adflow.errors import ParameterError, ShapeError
 from adflow.flowpath import PathParams
 from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
-from adflow import velnet
+from adflow import signal, velnet
 from adflow.velnet import (AdamW, TrainConfig, VelocityNet, _build_rows,
                            clip_gradients, embed_enrollment, embed_tau,
                            frame_signal, load_velnet, lr_for_epoch,
@@ -254,6 +255,26 @@ def test_batch_matrix_equals_stacked_rows(monkeypatch, dtype):
     assert all(g.dtype == dtype for g in grads)
 
 
+def test_loss_and_grad_peak_memory():
+    # One float32 step on 16 items of 8,000 samples (2,000 rows) may hold
+    # its rows, targets, mask and every activation, plus one more of the
+    # widest activation, and nothing else of that size. numpy reports its
+    # buffers to tracemalloc, so the peak repeats exactly.
+    net = as_float32(VelocityNet.create(0))
+    batch = _batch([8000] * 16)
+    n_rows = 16 * -(-8000 // net.frame_len)
+    dims = net.layer_dims
+    bound = n_rows * 4 * (dims[0] + 2 * net.frame_len + sum(dims[1:])
+                          + max(dims[1:]))
+    tracemalloc.start()
+    try:
+        otcfm_loss_and_grad(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def test_loss_and_grad_rejects_mismatched_lengths():
     net = tiny_net()
     with pytest.raises(ShapeError):
@@ -416,6 +437,13 @@ def test_training_runs_in_float32(monkeypatch):
     assert all(np.isfinite(trace))
 
 
+def test_training_never_mixes_x():
+    # the velocity field learns on the b -> s1 path and never reads x
+    items = make_dataset(4, "uniform", CFG, seed=7)
+    train_velocity(VelocityNet.create(0), items, TrainConfig(epochs=1, seed=0))
+    assert all("x" not in vars(item) for item in items)
+
+
 def test_training_deterministic():
     items = make_dataset(8, "uniform", CFG, seed=6)
     traces = []
@@ -470,6 +498,28 @@ def test_checkpoint_roundtrip(tmp_path):
     a = velocity_signal(net, x, e, 0.4)
     b = velocity_signal(back, x, e, 0.4)
     assert np.allclose(a, b, atol=1e-5)
+
+
+def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "velnet.ckpt"
+    save_velnet(path, VelocityNet.create(4))
+    old = path.read_bytes()
+    real_write = signal.write_tensor_stream
+    written = []
+
+    def failing_write(f, arr):
+        if len(written) == 2:
+            raise OSError("no space left on device")
+        written.append(arr)
+        real_write(f, arr)
+
+    monkeypatch.setattr(signal, "write_tensor_stream", failing_write)
+    with pytest.raises(OSError):
+        save_velnet(path, VelocityNet.create(5))
+    assert len(written) == 2
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob(".velnet.ckpt.*.tmp")) == []
+    assert load_velnet(path).layer_dims == VelocityNet.create(4).layer_dims
 
 
 def test_loaded_net_computes_in_float32(tmp_path):
