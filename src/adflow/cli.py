@@ -27,7 +27,7 @@ from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
 from .signal import (DatasetConfig, _stft_frames, make_dataset, read_wav,
-                     spectral_record, write_tensor, write_wav)
+                     spectral_record, write_lines, write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
@@ -191,13 +191,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
     return cfg
 
 
-def write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
-    lines = [f"{f.name}={getattr(cfg, f.name)}"
-             for f in dataclasses.fields(RunConfig)]
-    (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n",
-                                                  "utf-8")
-
-
 def _part(cls, cfg: RunConfig):
     """The `cls` config (DatasetConfig, TrainConfig, PathParams or
     NfePolicy) built from the RunConfig fields of the same names."""
@@ -222,13 +215,13 @@ def _eval_dataset(cfg: RunConfig, out: Path) -> list:
 def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_effective_config(cfg, out)
+    write_lines(out / "effective_config.txt",
+                [f"{k}={v}" for k, v in dataclasses.asdict(cfg).items()])
     return out
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+    write_lines(path, [",".join(header)] + [",".join(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +408,7 @@ def _write_svg(path: Path, xs: list, series: dict, x_label: str) -> None:
                      f'y="{margin + 20 * k}" fill="{color}" '
                      f'font-size="12">{name}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", "utf-8")
+    write_lines(path, parts)
 
 
 def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:

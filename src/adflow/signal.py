@@ -302,17 +302,29 @@ def _read_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
 @contextlib.contextmanager
 def _atomic_open(path):
     """A binary file to write that replaces `path` when the block exits
-    normally: a temp file beside it, then `os.replace`. If the block
-    raises, `path` stays as it was and the temp file is removed."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    normally: a temp file beside it, then `os.replace`. If the block raises,
+    `path` stays as it was and the temp file is removed. A symlink's target
+    is replaced; a target that is not a regular file, or whose directory is
+    missing, raises OSError naming `path`."""
+    real = Path(os.path.realpath(path) if os.path.islink(path) else path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        raise OSError(f"{path}: exists and is not a regular file")
+    if not os.path.isdir(real.parent):
+        raise FileNotFoundError(f"{path}: its directory does not exist")
+    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             yield f
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path, lines: list) -> None:
+    """Atomically replace `path` with `lines`, newline-ended, in UTF-8."""
+    with _atomic_open(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_store(path, prefix: bytes, waves: list) -> None:
@@ -538,11 +550,11 @@ def istft(s: Spectrogram, out_len: int,
 def write_wav(path, w: Waveform) -> None:
     ints = np.clip(np.round(w.samples / WAV_FULL_SCALE * 32767.0),
                    -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(w.sample_rate_hz)
-        f.writeframes(ints.tobytes())
+    with _atomic_open(path) as f, wave.open(f, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(w.sample_rate_hz)
+        out.writeframes(ints.tobytes())
 
 
 def read_wav(path) -> Waveform:
@@ -618,7 +630,7 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
+    with _atomic_open(path) as f:
         write_tensor_stream(f, arr)
 
 

@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import errno
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -432,6 +434,94 @@ def test_failed_store_write_exits_4(run_dir, tmp_path, capsys):
         ["effective_config.txt", "train_set.adfd"]
 
 
+class _DiskFullAt:
+    """A file opened to write whose write fails, as on a full disk, once it
+    would take the file past `limit` bytes; the bytes up to the limit are
+    written first, so the failure comes mid-file."""
+
+    def __init__(self, f, limit: int):
+        self._f, self._left = f, limit
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self._left:
+            self._f.write(data[:self._left])
+            self._left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= len(data)
+        return self._f.write(data)
+
+
+# Every kind of output, by file name and a writer of version 0 or 1 of it.
+WRITERS = {
+    "csv": ("a.csv", lambda path, v: cli._write_csv(
+        path, ["a", "b"], [[str(v), str(i)] for i in range(100)])),
+    "svg": ("a.svg", lambda path, v: cli._write_svg(
+        path, [1, 2, 5], {"s": [float(v), 2.0, 3.0]}, "x")),
+    "effective_config": ("effective_config.txt", lambda path, v:
+                         cli._prepare_out(RunConfig(
+                             seed=v, output_dir=str(path.parent)))),
+    "wav": ("a.wav", lambda path, v: write_wav(path, signal.Waveform(
+        np.random.default_rng(v).standard_normal(400)))),
+    "adft": ("a.adft", lambda path, v: signal.write_tensor(
+        path, np.arange(100.0) + v)),
+    "checkpoint": ("velnet.ckpt", lambda path, v: velnet.save_velnet(
+        path, velnet.VelocityNet.create(4 + v))),
+    "store": ("set.adfd", lambda path, v: make_dataset(
+        2, "uniform", DatasetConfig(duration_s=0.01), seed=v, store=path)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITERS))
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, case):
+    name, write = WRITERS[case]
+    path = tmp_path / name
+    write(path, 0)
+    old = path.read_bytes()
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return _DiskFullAt(f, len(old) // 2) if "w" in mode else f
+
+    monkeypatch.setattr(signal, "open", disk_full_open, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(path, 1)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no temp file
+
+
+@pytest.mark.parametrize("case", sorted(set(WRITERS) - {"effective_config"}))
+def test_write_into_missing_dir_names_target(tmp_path, case):
+    name, write = WRITERS[case]
+    path = tmp_path / "missing" / name
+    with pytest.raises(FileNotFoundError) as info:
+        write(path, 0)
+    assert str(path) in str(info.value) and ".tmp" not in str(info.value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_through_symlink_keeps_link(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "out").mkdir()
+    target = tmp_path / "data" / "a.csv"
+    target.write_text("old\n", "utf-8")
+    link = tmp_path / "out" / "a.csv"
+    link.symlink_to(target)
+    cli._write_csv(link, ["a"], [["1"]])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"a\n1\n"
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["a.csv"]
+
+
 def test_train_rerun_byte_identical(run_dir, tmp_path):
     cfg_path = run_dir / "run.cfg"
     outs = []
@@ -791,6 +881,31 @@ def test_extract_rate_differs_from_checkpoint(run_dir, tmp_path):
                  "--in", str(paths["x"]), "--enroll", str(paths["e"]),
                  "--out-wav", str(tmp_path / "o.wav")]) == 4
     assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("case", ["missing_dir", "directory", "fifo"])
+def test_extract_unwritable_out_wav_exits_4(run_dir, tmp_path, case):
+    # in a subprocess: an error that escapes shows on stderr, and a write
+    # that blocks on the FIFO hits the timeout
+    out_wav = {"missing_dir": tmp_path / "missing" / "o.wav",
+               "directory": tmp_path, "fifo": tmp_path / "o.wav"}[case]
+    if case == "fifo":
+        os.mkfifo(out_wav)
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    proc = subprocess.run(
+        [sys.executable, "-m", "adflow", "extract",
+         "--config", str(run_dir / "run.cfg"),
+         "--checkpoints", cfg.output_dir,
+         "--in", str(data / "item_0000_x.wav"),
+         "--enroll", str(data / "item_0000_e.wav"), "--out-wav", str(out_wav)],
+        env=_python_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("I/O error:")
+    assert str(out_wav) in lines[0]
+    if case == "fifo":
+        assert stat.S_ISFIFO(os.stat(out_wav).st_mode)
 
 
 # ---------------------------------------------------------------------------
