@@ -342,6 +342,14 @@ def _eval_items(cfg: RunConfig, ckpt_dir, out: Path):
                lambda est, nfe: score(est) if nfe > 0 else passthrough())
 
 
+def _in_lane(i: int, lane: str, extract, *args):
+    """extract(*args); a divergence in it names eval item i and the lane."""
+    try:
+        return extract(*args)
+    except DivergenceError as exc:
+        raise DivergenceError(f"item {i}, {lane}: {exc}") from exc
+
+
 ABLATION_SOURCES = ("oracle", "estimated", "random", "tau1", "tau0")
 
 
@@ -362,9 +370,10 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
         }
         for source_name in ABLATION_SOURCES:
             for field_name in ("oracle", "net"):
-                est, tau_hat, nfe = sampler.extract_adaptive(
-                    item.x, item.e, sources[source_name], fields[field_name],
-                    policy)
+                est, tau_hat, nfe = _in_lane(
+                    i, f"mr source {source_name}, field {field_name}",
+                    sampler.extract_adaptive, item.x, item.e,
+                    sources[source_name], fields[field_name], policy)
                 report = metrics.EvalReport(**score(est, nfe), nfe_used=nfe,
                                             tau_true=item.tau, tau_hat=tau_hat)
                 rows.append([str(i), source_name, field_name]
@@ -420,9 +429,9 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
                 for n in NFE_SWEEP_VALUES]
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
-    for _, item, tau_hat, fields, score in _eval_items(cfg, ckpt_dir, out):
-        budgets = sampler.extract_budgets(item.x, item.e, tau_hat,
-                                          fields[field], policies)
+    for i, item, tau_hat, fields, score in _eval_items(cfg, ckpt_dir, out):
+        budgets = _in_lane(i, f"field {field}", sampler.extract_budgets,
+                           item.x, item.e, tau_hat, fields[field], policies)
         by_nfe = {}  # budgets with one step count share one estimate
         for (est, nfe), scored in zip(budgets, per_nfe):
             if nfe not in by_nfe:
@@ -459,6 +468,12 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     net, reg = _load_checkpoints(cfg, ckpt_dir)
     x = _read_wav_at(in_path, net.sample_rate_hz)
     e = _read_wav_at(enroll_path, net.sample_rate_hz)
+    if reference is not None:  # a bad reference fails before any output
+        s1 = _read_wav_at(reference, net.sample_rate_hz)
+        if len(s1) != len(x):
+            raise FileFormatError(f"{reference}: {len(s1)} samples, but "
+                                  f"{in_path} has {len(x)}")
+        score = _scorer(cfg, reg, x, s1)
     xr, er = _record(cfg, x), _record(cfg, e)
     est, tau_hat, nfe = sampler.extract_adaptive(
         x, e, sampler.fixed_mr(mrnet.mr_predict(reg, xr, er)),
@@ -467,8 +482,7 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
     result = {"tau_hat": tau_hat, "nfe_used": nfe}
     print(f"tau_hat={tau_hat:.6f} nfe_used={nfe}")
     if reference is not None:
-        s1 = _read_wav_at(reference, net.sample_rate_hz)
-        result.update(_scorer(cfg, reg, x, s1)(est))
+        result.update(score(est))
         print("si_sdr_db={si_sdr_db:.4f} "
               "si_sdr_improvement_db={si_sdr_improvement_db:.4f} "
               "lsd_db={lsd_db:.4f} sim_cosine={sim_cosine:.6f}"

@@ -310,51 +310,35 @@ def clip_gradients(grads: list, max_norm: float):
     return grads, total
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adaptive moments with decoupled weight decay (Loshchilov & Hutter).
 
     Decay is applied only to weight matrices (ndim >= 2), multiplicatively by
     (1 - lr * decay) before the moment update.
     """
 
-    def __init__(self, params: list, weight_decay: float = 0.01,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    def __init__(self, params: list, weight_decay: float = 0.01):
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        # two scratch buffers sized to the largest parameter; each step
-        # views them in its parameter's shape and dtype
-        size = max((p.nbytes for p in params), default=0)
-        self._scratch = (np.empty(size, np.uint8), np.empty(size, np.uint8))
 
     def step(self, params: list, grads: list, lr: float) -> None:
-        """One update, computed in the scratch buffers: the same operations
-        in the same order as p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        after m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2. Each
-        gradient has its parameter's shape and dtype."""
+        """One update; each gradient has its parameter's shape and dtype."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            s1, s2 = (buf[:p.nbytes].view(p.dtype).reshape(p.shape)
-                      for buf in self._scratch)
             if p.ndim >= 2 and self.weight_decay > 0:
                 p *= 1.0 - lr * self.weight_decay
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=s1)
-            v *= b2
-            np.square(g, out=s1)
-            v += np.multiply(s1, 1 - b2, out=s1)
-            np.divide(m, bc1, out=s1)
-            s1 *= lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            p -= np.divide(s1, s2, out=s1)
+            m *= ADAM_B1
+            m += (1 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1 - ADAM_B2) * g ** 2
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):

@@ -340,6 +340,19 @@ def test_exit_code_last_step_divergence(run_dir, tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("command", ["ablate", "nfe-sweep"])
+def test_divergence_names_eval_item(run_dir, tmp_path, capsys, monkeypatch,
+                                    command):
+    monkeypatch.setattr(velnet, "velocity_signal",
+                        lambda net, x, e_embed, tau: np.full_like(x, np.inf))
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", _cfg(run_dir).output_dir,
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric divergence: item 0, " in err
+    assert "field net: non-finite state at step 0" in err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -852,6 +865,50 @@ def test_extract_malformed_wav(run_dir, tmp_path, capsys, case):
                  "--out-wav", str(tmp_path / "o.wav")]) == 4
     assert "x.wav" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def _malformed(case):
+    return lambda src, dest: dest.write_bytes(
+        MALFORMED_WAVS[case](src.read_bytes()))
+
+
+def _rewritten(edit):
+    def write(src, dest):
+        w = read_wav(src)
+        write_wav(dest, type(w)(edit(w.samples), w.sample_rate_hz))
+    return write
+
+
+# case: (writes the bad reference from s1's file, exit code)
+BAD_REFERENCES = {
+    "header_only": (_malformed("header_only"), 4),
+    "zero_rate": (_malformed("zero_rate"), 4),
+    "short": (_rewritten(lambda s: s[:s.size // 2]), 4),
+    "all_zero": (_rewritten(np.zeros_like), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REFERENCES))
+def test_extract_bad_reference_writes_nothing(run_dir, tmp_path, capsys,
+                                              case):
+    write_bad, code = BAD_REFERENCES[case]
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    ref = tmp_path / "ref.wav"
+    write_bad(data / "item_0000_s1.wav", ref)
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(cfg.output_dir),
+                 "--in", str(data / "item_0000_x.wav"),
+                 "--enroll", str(data / "item_0000_e.wav"),
+                 "--out-wav", str(tmp_path / "o.wav"),
+                 "--reference", str(ref)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not (tmp_path / "o.wav").exists()
+    if case == "short":
+        n = len(read_wav(data / "item_0000_x.wav"))
+        assert f"ref.wav: {n // 2} samples, but " in err
+        assert f"item_0000_x.wav has {n}" in err
 
 
 def test_extract_rate_mismatch(run_dir, tmp_path):
