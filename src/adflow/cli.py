@@ -26,14 +26,11 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (DatasetConfig, _stft_frames, make_dataset, read_wav,
-                     spectral_record, write_lines, write_tensor, write_wav)
+from .signal import (MAX_WAVEFORM_SAMPLES, DatasetConfig, _stft_frames,
+                     make_dataset, read_wav, spectral_record, write_lines,
+                     write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
-
-# Largest waveform a config may ask for: 2^24 samples (about 17 minutes at
-# 16 kHz) is 128 MB per float64 waveform.
-MAX_WAVEFORM_SAMPLES = 2 ** 24
 
 # Largest dataset a config may ask for, in items x samples per waveform:
 # 2^27 is 16,777 items of 0.5 s at 16 kHz, whose x, s1, e and b take about
@@ -323,9 +320,9 @@ def _eval_items(cfg: RunConfig, ckpt_dir, out: Path):
     """The per-item set-up of `ablate` and `nfe-sweep`.
 
     Loads both checkpoints (at the config's rate), then reads the eval set,
-    and yields per item (index, item, mrnet's tau_hat, the "oracle" and
-    "net" fields, score): score(est, nfe) scores the estimate of a lane
-    that took nfe steps, and holds for this item's iteration only.
+    and yields per item (index, item, x mixed once for every lane, mrnet's
+    tau_hat, the "oracle" and "net" fields, score): score(est, nfe) scores
+    the estimate of a lane that took nfe steps, for this item only.
     """
     net, reg = _load_checkpoints(cfg, ckpt_dir, cfg.sample_rate_hz)
     items = _eval_dataset(cfg, out)
@@ -333,12 +330,12 @@ def _eval_items(cfg: RunConfig, ckpt_dir, out: Path):
     for i, item in enumerate(items):
         x = _record(cfg, item.x, scored=True)
         e = _record(cfg, item.e)
-        score = _scorer(cfg, reg, item.x, item.s1)
+        score = _scorer(cfg, reg, x, item.s1)
         # every passthrough is x's samples: x's record is scored once for all
         passthrough = functools.cache(lambda: score(x))
         fields = {"oracle": sampler.OracleField(item.b, item.s1, pp),
                   "net": sampler.NetField(net, e)}
-        yield (i, item, mrnet.mr_predict(reg, x, e), fields,
+        yield (i, item, x.wave, mrnet.mr_predict(reg, x, e), fields,
                lambda est, nfe: score(est) if nfe > 0 else passthrough())
 
 
@@ -360,10 +357,10 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
     rand_taus = np.random.default_rng(cfg.seed + 4242).uniform(
         size=cfg.n_eval)
     rows = []
-    for i, item, estimated, fields, score in _eval_items(cfg, ckpt_dir, out):
+    for i, item, x, mr_tau, fields, score in _eval_items(cfg, ckpt_dir, out):
         sources = {
             "oracle": sampler.oracle_mr(item.s1, item.b),
-            "estimated": sampler.fixed_mr(estimated),
+            "estimated": sampler.fixed_mr(mr_tau),
             "random": sampler.fixed_mr(float(rand_taus[i])),
             "tau1": sampler.fixed_mr(1.0),
             "tau0": sampler.fixed_mr(0.0),
@@ -372,7 +369,7 @@ def cmd_ablate(cfg: RunConfig, ckpt_dir=None) -> Path:
             for field_name in ("oracle", "net"):
                 est, tau_hat, nfe = _in_lane(
                     i, f"mr source {source_name}, field {field_name}",
-                    sampler.extract_adaptive, item.x, item.e,
+                    sampler.extract_adaptive, x, item.e,
                     sources[source_name], fields[field_name], policy)
                 report = metrics.EvalReport(**score(est, nfe), nfe_used=nfe,
                                             tau_true=item.tau, tau_hat=tau_hat)
@@ -429,9 +426,9 @@ def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
                 for n in NFE_SWEEP_VALUES]
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
-    for i, item, tau_hat, fields, score in _eval_items(cfg, ckpt_dir, out):
+    for i, item, x, tau_hat, fields, score in _eval_items(cfg, ckpt_dir, out):
         budgets = _in_lane(i, f"field {field}", sampler.extract_budgets,
-                           item.x, item.e, tau_hat, fields[field], policies)
+                           x, item.e, tau_hat, fields[field], policies)
         by_nfe = {}  # budgets with one step count share one estimate
         for (est, nfe), scored in zip(budgets, per_nfe):
             if nfe not in by_nfe:

@@ -22,9 +22,14 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import flowpath
 from .errors import FileFormatError, ParameterError, ShapeError
 
 DEFAULT_SAMPLE_RATE = 16000
+
+# Largest waveform a config or an input WAV may hold: 2^24 samples (about
+# 17 minutes at 16 kHz) is 128 MB per float64 waveform.
+MAX_WAVEFORM_SAMPLES = 2 ** 24
 
 # Full-scale amplitude mapped to int16 32767 when writing WAV files.
 WAV_FULL_SCALE = 4.0
@@ -55,14 +60,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-def _check_compatible(a: Waveform, b: Waveform) -> None:
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise ShapeError(
-            f"sample rates differ: {a.sample_rate_hz} vs {b.sample_rate_hz}")
-    if len(a) != len(b):
-        raise ShapeError(f"lengths differ: {len(a)} vs {len(b)}")
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,11 @@ def synth_background(spec: MixtureSpec, duration_s: float,
 
 
 def mix(s1: Waveform, b: Waveform, tau: float) -> Waveform:
-    """x = tau*s1 + (1-tau)*b, elementwise."""
-    _check_compatible(s1, b)
-    if not 0.0 <= tau <= 1.0:
-        raise ParameterError("tau must lie in [0, 1]")
-    return Waveform(tau * s1.samples + (1.0 - tau) * b.samples,
+    """x = tau*s1 + (1-tau)*b, the path mean at tau (`flowpath.path_mean`)."""
+    if s1.sample_rate_hz != b.sample_rate_hz:
+        raise ShapeError(f"sample rates differ: {s1.sample_rate_hz} vs "
+                         f"{b.sample_rate_hz}")
+    return Waveform(flowpath.path_mean(b.samples, s1.samples, tau),
                     s1.sample_rate_hz)
 
 
@@ -222,7 +219,7 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class MixtureItem:
     """One supervised item: enrollment, target, background, tau, and the
-    mixture x, which is mixed from s1 and b on its first read and kept."""
+    mixture x, which is mixed from s1 and b on every read and never kept."""
 
     e: Waveform
     s1: Waveform
@@ -230,7 +227,7 @@ class MixtureItem:
     tau: float
     spec: MixtureSpec
 
-    @functools.cached_property
+    @property
     def x(self) -> Waveform:
         return mix(self.s1, self.b, self.tau)
 
@@ -353,8 +350,8 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     from that file when it holds this dataset and passes its checks (see
     `_read_store`); otherwise they are synthesized and the file is
     atomically replaced. Every item is the same either way: synthesis draws
-    nothing from the dataset generator, and x is mixed from s1 and b on its
-    first read (see `MixtureItem`).
+    nothing from the dataset generator, and x is not stored but mixed from
+    s1 and b on each read (see `MixtureItem`).
     """
     if n_items <= 0:
         raise ParameterError("n_items must be positive")
@@ -558,8 +555,8 @@ def write_wav(path, w: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM mono WAV; a malformed or truncated one raises
-    FileFormatError."""
+    """Read a 16-bit PCM mono WAV; a malformed or truncated one, or one over
+    MAX_WAVEFORM_SAMPLES (checked before reading), raises FileFormatError."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -570,6 +567,9 @@ def read_wav(path) -> Waveform:
             if rate < 1:
                 raise FileFormatError(f"{path}: WAV declares {rate} Hz")
             n_frames = f.getnframes()
+            if n_frames > MAX_WAVEFORM_SAMPLES:
+                raise FileFormatError(f"{path}: declares {n_frames} samples, "
+                                      f"above {MAX_WAVEFORM_SAMPLES}")
             raw = f.readframes(n_frames)
     # wave reports a file cut inside its header as EOFError, and a chunk
     # size that runs past the end of the file as RuntimeError
@@ -651,20 +651,22 @@ def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
 
 def read_checkpoint(path, magic: str, shapes) -> tuple:
     """(meta, tensors) of a `write_checkpoint` file. A header value is an
-    int, or a tuple of ints where it holds commas; `sample_rate_hz` defaults
-    to 16 kHz, and `feat_n_fft` with `feat_hop` must be a framing `stft`
-    runs. `shapes(meta)` lists the tensor shapes or raises ValueError."""
+    int, or a tuple of ints where it holds commas; `sample_rate_hz` must be
+    there, and `feat_n_fft` with `feat_hop` must be a framing `stft` runs.
+    `shapes(meta)` lists the tensor shapes or raises ValueError."""
     with open(path, "rb") as f:
         try:
             header = f.readline().decode("ascii")
             if not header.startswith(magic):
                 raise FileFormatError(f"{path}: not an {magic} checkpoint")
-            meta = {"sample_rate_hz": DEFAULT_SAMPLE_RATE}
+            meta = {}
             for token in header[len(magic):].split():
                 key, value = token.split("=")
                 meta[key] = (tuple(map(int, value.split(","))) if "," in value
                              else int(value))
             _stft_frames(1, meta["feat_n_fft"], meta["feat_hop"])
+            if "sample_rate_hz" not in meta:
+                raise KeyError("sample_rate_hz")
             expected = shapes(meta)
         # TypeError: a tuple where an int belongs, or the other way round
         except (ValueError, KeyError, TypeError, ParameterError) as exc:

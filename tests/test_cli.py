@@ -15,7 +15,7 @@ import pytest
 
 from adflow import cli, flowpath, metrics, mrnet, sampler, signal, velnet
 from adflow.cli import (RunConfig, load_config, main, parse_config_text)
-from adflow.errors import ConfigError
+from adflow.errors import ConfigError, FileFormatError
 from adflow.signal import make_dataset, read_wav, write_wav, DatasetConfig
 
 SMALL_CONFIG = """
@@ -412,15 +412,43 @@ def test_checkpoints_loadable(run_dir):
     assert reg.feat_n_fft == 256
 
 
-def test_checkpoint_without_sample_rate_reads_16k(run_dir, tmp_path):
+def test_checkpoint_without_sample_rate_exits_4(run_dir, tmp_path):
+    # a checkpoint must state the rate it was trained at
     ck = _copy_checkpoints(run_dir, tmp_path / "ck")
     for name in ("velnet.ckpt", "mrnet.ckpt"):
         _edit_header(ck / name,
                      lambda h: re.sub(rb" sample_rate_hz=\d+", b"", h))
         header = (ck / name).read_bytes().split(b"\n", 1)[0]
         assert b"sample_rate_hz" not in header
-    assert velnet.load_velnet(ck / "velnet.ckpt").sample_rate_hz == 16000
-    assert mrnet.load_mrnet(ck / "mrnet.ckpt").sample_rate_hz == 16000
+    for load, name in ((velnet.load_velnet, "velnet.ckpt"),
+                       (mrnet.load_mrnet, "mrnet.ckpt")):
+        with pytest.raises(FileFormatError, match="sample_rate_hz"):
+            load(ck / name)
+    assert main(["ablate", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o" / "eval_set.adfd").exists()
+
+
+def test_each_command_mixes_each_item_once(tmp_path, monkeypatch):
+    # x is mixed where it is read, never kept: gen-data, train-mr, ablate
+    # and nfe-sweep read it once per item, and train-vel never does
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CONFIG + "epochs = 1\n"
+                        f"output_dir = {tmp_path / 'out'}\n", "utf-8")
+    cfg = load_config(cfg_path)
+    mixed = []
+    real_mix = signal.mix
+    monkeypatch.setattr(signal, "mix",
+                        lambda *args: mixed.append(1) or real_mix(*args))
+    counts = {}
+    for command in ("gen-data", "train-vel", "train-mr", "ablate",
+                    "nfe-sweep"):
+        before = len(mixed)
+        assert main([command, "--config", str(cfg_path)]) == 0
+        counts[command] = len(mixed) - before
+    assert counts == {"gen-data": cfg.n_eval, "train-vel": 0,
+                      "train-mr": cfg.n_train, "ablate": cfg.n_eval,
+                      "nfe-sweep": cfg.n_eval}
 
 
 @pytest.mark.parametrize("command, names", [
@@ -864,6 +892,34 @@ def test_extract_malformed_wav(run_dir, tmp_path, capsys, case):
                  "--enroll", str(data / "item_0000_e.wav"),
                  "--out-wav", str(tmp_path / "o.wav")]) == 4
     assert "x.wav" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def _declare_frames(data: bytes, n_frames: int) -> bytes:
+    # the data chunk size of the canonical 44-byte header; the file still
+    # holds the samples it had
+    return data[:40] + (2 * n_frames).to_bytes(4, "little") + data[44:]
+
+
+@pytest.mark.parametrize("flag", ["--in", "--enroll", "--reference"])
+def test_extract_caps_input_before_reading(run_dir, tmp_path, capsys, flag):
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    inputs = {"--in": data / "item_0000_x.wav",
+              "--enroll": data / "item_0000_e.wav",
+              "--reference": data / "item_0000_s1.wav"}
+    big = tmp_path / "big.wav"
+    big.write_bytes(_declare_frames(inputs[flag].read_bytes(),
+                                    cli.MAX_WAVEFORM_SAMPLES + 1))
+    inputs[flag] = big
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(cfg.output_dir),
+                 "--out-wav", str(tmp_path / "o.wav"),
+                 *(str(a) for kv in inputs.items() for a in kv)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "big.wav" in err and "16777216" in err
+    assert "truncated" not in err
     assert not (tmp_path / "o.wav").exists()
 
 

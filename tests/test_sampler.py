@@ -235,3 +235,20 @@ def test_budget_monotone_property(tau_hat):
     n = build_schedule(tau_hat, policy).nfe
     n_later = build_schedule(min(1.0, tau_hat + 0.11), policy).nfe
     assert n_later <= n
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_one_step_identity_for_learned_field(tau):
+    # one Euler step over [tau, 1] from x = mix(s1, b, tau) misses s1 by the
+    # field's velocity error times the step: est - s1 = (1 - tau)(v - (s1 - b))
+    item = _item(3)
+    x = mix(item.s1, item.b, tau)
+    field = NetField(VelocityNet.create(0), item.e)
+    assert field.net.weights[0].dtype == np.float64
+    est, nfe = extract(x, item.e, field,
+                       Schedule(taus=np.array([tau, 1.0]), nfe=1))
+    v = field(x.samples, tau)
+    s1, b = item.s1.samples, item.b.samples
+    assert nfe == 1
+    err = np.abs((est.samples - s1) - (1.0 - tau) * (v - (s1 - b)))
+    assert err.max() <= 1e-12

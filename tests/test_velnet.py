@@ -7,7 +7,7 @@ import pytest
 from adflow.errors import ParameterError, ShapeError
 from adflow.flowpath import PathParams
 from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
-from adflow import velnet
+from adflow import signal, velnet
 from adflow.velnet import (AdamW, TrainConfig, VelocityNet, _build_rows,
                            clip_gradients, embed_enrollment, embed_tau,
                            frame_signal, load_velnet, lr_for_epoch,
@@ -437,11 +437,13 @@ def test_training_runs_in_float32(monkeypatch):
     assert all(np.isfinite(trace))
 
 
-def test_training_never_mixes_x():
+def test_training_never_mixes_x(monkeypatch):
     # the velocity field learns on the b -> s1 path and never reads x
     items = make_dataset(4, "uniform", CFG, seed=7)
+    mixed = []
+    monkeypatch.setattr(signal, "mix", lambda *args: mixed.append(args))
     train_velocity(VelocityNet.create(0), items, TrainConfig(epochs=1, seed=0))
-    assert all("x" not in vars(item) for item in items)
+    assert mixed == []
 
 
 def test_training_deterministic():
