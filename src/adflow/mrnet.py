@@ -179,8 +179,8 @@ def load_mrnet(path) -> MrRegressor:
         return [(embed, 3 * (m["feat_n_fft"] // 2 + 1) + 1), (embed,),
                 (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
 
-    meta, tensors = read_checkpoint(path, _MR_HEADER, shapes)
-    return MrRegressor(*(t.astype(np.float64) for t in tensors),
+    meta, tensors = read_checkpoint(path, _MR_HEADER, shapes, np.float64)
+    return MrRegressor(*tensors,
                        feat_n_fft=meta["feat_n_fft"],
                        feat_hop=meta["feat_hop"],
                        sample_rate_hz=meta["sample_rate_hz"])

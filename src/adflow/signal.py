@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import math
 import os
 import struct
@@ -649,18 +650,33 @@ def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
             write_tensor_stream(f, t)
 
 
-def read_checkpoint(path, magic: str, shapes) -> tuple:
-    """(meta, tensors) of a `write_checkpoint` file. A header value is an
-    int, or a tuple of ints where it holds commas; `sample_rate_hz` must be
-    there, and `feat_n_fft` with `feat_hop` must be a framing `stft` runs.
-    `shapes(meta)` lists the tensor shapes or raises ValueError."""
+# Longest header line a checkpoint may have; adflow writes under 200 bytes.
+_CHECKPOINT_HEADER_LIMIT = 4096
+
+# magic -> (header line, payload, dtype, tensors) of the checkpoint of that
+# kind parsed last; the tensors are read-only. Threads that race on an entry
+# each return the tensors of the bytes they read.
+_kept_checkpoints: dict = {}
+
+
+def read_checkpoint(path, magic: str, shapes, dtype="<f4") -> tuple:
+    """(meta, tensors) of a `write_checkpoint` file, tensors read-only and
+    in `dtype`. A header value is an int, or a tuple of ints where it holds
+    commas; `sample_rate_hz` must be there, and `feat_n_fft` with
+    `feat_hop` must be a framing `stft` runs. `shapes(meta)` lists the
+    tensor shapes or raises ValueError. The file must be exactly as long as
+    its header declares. While a file's bytes equal those of the last
+    checkpoint read of its magic, that one's tensors are returned."""
     with open(path, "rb") as f:
+        line = f.readline(_CHECKPOINT_HEADER_LIMIT + 1)
+        if not line.startswith(magic.encode("ascii")):
+            raise FileFormatError(f"{path}: not an {magic} checkpoint")
+        if not line.endswith(b"\n"):
+            raise FileFormatError(f"{path}: no checkpoint header line within "
+                                  f"{_CHECKPOINT_HEADER_LIMIT} bytes")
         try:
-            header = f.readline().decode("ascii")
-            if not header.startswith(magic):
-                raise FileFormatError(f"{path}: not an {magic} checkpoint")
             meta = {}
-            for token in header[len(magic):].split():
+            for token in line[len(magic):].decode("ascii").split():
                 key, value = token.split("=")
                 meta[key] = (tuple(map(int, value.split(","))) if "," in value
                              else int(value))
@@ -672,4 +688,21 @@ def read_checkpoint(path, magic: str, shapes) -> tuple:
         except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise FileFormatError(f"{path}: bad checkpoint header "
                                   f"({exc!r})") from exc
-        return meta, [read_tensor_stream(f, shape) for shape in expected]
+        # each tensor: magic, rank, dims, float32 data
+        declared = len(line) + sum(8 + 4 * len(shape) + 4 * math.prod(shape)
+                                   for shape in expected)
+        size = os.fstat(f.fileno()).st_size
+        if size != declared:
+            raise FileFormatError(f"{path}: the header declares {declared} "
+                                  f"bytes, the file holds {size}")
+        payload = f.read(size - len(line))
+    kept = _kept_checkpoints.get(magic)
+    if kept is None or kept[:3] != (line, payload, dtype):
+        # a file cut after the size check fails here as a truncated tensor
+        stream = io.BytesIO(payload)
+        tensors = [np.asarray(read_tensor_stream(stream, shape), dtype)
+                   for shape in expected]
+        for t in tensors:
+            t.flags.writeable = False
+        kept = _kept_checkpoints[magic] = (line, payload, dtype, tensors)
+    return meta, list(kept[3])

@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -836,6 +837,89 @@ def test_extract_reuse_matches_fresh_process(run_dir, tmp_path, capsys):
     assert printed == fresh.stdout
     assert (tmp_path / "second.wav").read_bytes() == \
         (tmp_path / "fresh.wav").read_bytes()
+
+
+def _extract_argv(run_dir, ck, out_wav):
+    data = Path(_cfg(run_dir).output_dir) / "dataset"
+    return ["extract", "--config", str(run_dir / "run.cfg"),
+            "--checkpoints", str(ck),
+            "--in", str(data / "item_0000_x.wav"),
+            "--enroll", str(data / "item_0000_e.wav"),
+            "--out-wav", str(out_wav),
+            "--reference", str(data / "item_0000_s1.wav")]
+
+
+def test_extract_after_checkpoint_rewritten_in_place(run_dir, tmp_path,
+                                                     capsys):
+    # the kept net is reused only while the file's bytes are the same: a
+    # checkpoint of the same size (and inode) from another seed is used
+    other = tmp_path / "other"
+    assert main(["train-vel", "--config", str(run_dir / "run.cfg"),
+                 "--out", str(other), "--set", "seed=1"]) == 0
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    second = (other / "velnet.ckpt").read_bytes()
+    assert len(second) == (ck / "velnet.ckpt").stat().st_size
+    assert second != (ck / "velnet.ckpt").read_bytes()
+    assert main(_extract_argv(run_dir, ck, tmp_path / "first.wav")) == 0
+    first_out = capsys.readouterr().out
+    inode = (ck / "velnet.ckpt").stat().st_ino
+    (ck / "velnet.ckpt").write_bytes(second)
+    assert (ck / "velnet.ckpt").stat().st_ino == inode
+    assert main(_extract_argv(run_dir, ck, tmp_path / "second.wav")) == 0
+    printed = capsys.readouterr().out
+    fresh = subprocess.run([sys.executable, "-m", "adflow", *_extract_argv(
+        run_dir, ck, tmp_path / "fresh.wav")], env=_python_env(), check=True,
+        timeout=600, capture_output=True, text=True)
+    assert printed == fresh.stdout != first_out
+    assert (tmp_path / "second.wav").read_bytes() == \
+        (tmp_path / "fresh.wav").read_bytes() != \
+        (tmp_path / "first.wav").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["velnet", "mrnet"])
+def test_extract_after_weight_set_to_nan_in_place(run_dir, tmp_path, capsys,
+                                                  name):
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    assert main(_extract_argv(run_dir, ck, tmp_path / "o.wav")) == 0
+    _nan_first_weight(ck / f"{name}.ckpt")
+    assert main(_extract_argv(run_dir, ck, tmp_path / "o.wav")) == 4
+    assert "non-finite values" in capsys.readouterr().err
+
+
+# case: (damage to velnet.ckpt, what the message must name besides the path)
+MISSIZED_CHECKPOINTS = {
+    "trailing_bytes": (lambda p: p.write_bytes(p.read_bytes() + bytes(7000)),
+                       lambda n, h: (f"declares {n} bytes",
+                                     f"holds {n + 7000}")),
+    "doubled": (lambda p: p.write_bytes(p.read_bytes() * 2),
+                lambda n, h: (f"declares {n} bytes", f"holds {2 * n}")),
+    "no_newline": (lambda p: p.write_bytes(
+        b"ADFLOW-VELNET v1 " + b"x" * 2 ** 26),
+        lambda n, h: (f"within {h} bytes",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSIZED_CHECKPOINTS))
+def test_extract_checkpoint_not_its_declared_size(run_dir, tmp_path, capsys,
+                                                  case):
+    damage, expect = MISSIZED_CHECKPOINTS[case]
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    size = (ck / "velnet.ckpt").stat().st_size
+    damage(ck / "velnet.ckpt")
+    tracemalloc.start()
+    try:
+        code = main(_extract_argv(run_dir, ck, tmp_path / "o.wav"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    err = capsys.readouterr().err
+    assert str(ck / "velnet.ckpt") in err
+    for part in expect(size, signal._CHECKPOINT_HEADER_LIMIT):
+        assert part in err
+    if case == "no_newline":  # the reader stops at the header limit
+        assert peak < 2 ** 20
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch):

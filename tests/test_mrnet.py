@@ -231,3 +231,17 @@ def test_checkpoint_roundtrip(tmp_path):
     x, e = _waves(0)
     assert mr_predict(back, x, e) == pytest.approx(mr_predict(reg, x, e),
                                                    abs=1e-5)
+
+
+def test_byte_equal_checkpoints_share_upcast_tensors(tmp_path):
+    # the float64 upcast is kept with the parse: a second load of equal
+    # bytes gets the same read-only arrays in a new regressor
+    reg = MrRegressor.create(41)
+    for name in ("a.ckpt", "b.ckpt"):
+        save_mrnet(tmp_path / name, reg)
+    a, b = load_mrnet(tmp_path / "a.ckpt"), load_mrnet(tmp_path / "b.ckpt")
+    assert a is not b
+    for p, q in zip(a.parameters(), b.parameters()):
+        assert p is q and p.dtype == np.float64
+    with pytest.raises(ValueError):
+        a.extract_w[0, 0] = 0.0

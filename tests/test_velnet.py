@@ -514,3 +514,27 @@ def test_loaded_net_computes_in_float32(tmp_path):
     assert velocity_signal(back, x, e, 0.4).dtype == np.float32
     with pytest.raises(ShapeError):
         velocity_signal(back, x, e[:15], 0.4)
+
+
+def test_byte_equal_checkpoints_parsed_once(tmp_path, monkeypatch):
+    # three files with equal bytes: the tensors are parsed for the first
+    # and shared, read-only, by every net; each load is a new net object
+    net = VelocityNet.create(41)
+    paths = [tmp_path / f"v{i}.ckpt" for i in range(3)]
+    for path in paths:
+        save_velnet(path, net)
+    monkeypatch.setattr(signal, "_kept_checkpoints", {})
+    parsed, real = [], signal.read_tensor_stream
+    monkeypatch.setattr(signal, "read_tensor_stream", lambda f, shape=None:
+                        parsed.append(shape) or real(f, shape))
+    nets = [load_velnet(path) for path in paths]
+    assert len(parsed) == len(net.parameters()) + 1  # and the projection
+    a, b, c = nets
+    assert a is not b and a.weights is not b.weights
+    assert all(p is q for p, q in zip(a.parameters(), c.parameters()))
+    with pytest.raises(ValueError):
+        a.weights[0][0, 0] = 0.0
+    a.weights[0] = np.zeros_like(a.weights[0])
+    a.frame_len = 3
+    d = load_velnet(paths[0])
+    assert d.weights[0] is b.weights[0] and d.frame_len == net.frame_len
