@@ -26,31 +26,15 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (MAX_WAVEFORM_SAMPLES, DatasetConfig, _stft_frames,
-                     make_dataset, read_wav, spectral_record, write_lines,
-                     write_tensor, write_wav)
+from .signal import (DatasetConfig, _stft_frames, make_dataset, read_wav,
+                     spectral_record, write_lines, write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
 # Largest dataset a config may ask for, in items x samples per waveform:
-# 2^27 is 16,777 items of 0.5 s at 16 kHz, whose x, s1, e and b take about
-# 4 GB as float64.
+# 2^27 is 16,777 items of 0.5 s at 16 kHz, whose s1, e and b take 3 GiB as
+# float64.
 MAX_DATASET_SAMPLES = 2 ** 27
-
-# Largest max_nfe a config may ask for (the NFE sweep goes up to 20).
-MAX_NFE = 1000
-
-# Largest STFT of one waveform, in frames x n_fft values, a config may ask
-# for; at the default 256/64 framing every allowed duration fits.
-MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
-
-# Largest n_fft a config may ask for. The nets grow with n_fft alone:
-# mrnet's first layer holds 64 x (3 x (n_fft // 2 + 1) + 1) float64 weights,
-# about 50 MB at this cap.
-MAX_N_FFT = 2 ** 16
-
-# A WAV header holds the byte rate, 2 x rate at 16-bit mono, in 32 bits.
-MAX_SAMPLE_RATE_HZ = 2 ** 31 - 1
 
 
 @dataclass
@@ -148,43 +132,23 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if read_back != {"output_dir": cfg.output_dir}:
         raise ConfigError(f"output_dir {cfg.output_dir!r} would not read "
                           "back from effective_config.txt as it is")
-    for key in ("n_train", "n_eval", "sample_rate_hz"):
+    try:
+        # each part checks its own fields, and _stft_frames the framing
+        n_samples = _part(DatasetConfig, cfg).n_samples
+        for cls in (velnet.TrainConfig, flowpath.PathParams,
+                    sampler.NfePolicy):
+            _part(cls, cfg)
+        _stft_frames(n_samples, cfg.n_fft, cfg.hop)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key in ("n_train", "n_eval"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be positive, got "
                               f"{getattr(cfg, key)}")
-    try:
-        n_samples = round(cfg.duration_s * cfg.sample_rate_hz)
-    except OverflowError:  # the product is past float range
-        n_samples = math.inf
-    if not 1 <= n_samples <= MAX_WAVEFORM_SAMPLES:
-        raise ConfigError(f"duration_s={cfg.duration_s!r} at "
-                          f"{cfg.sample_rate_hz} Hz asks for {n_samples} "
-                          f"samples per waveform, outside 1 to "
-                          f"{MAX_WAVEFORM_SAMPLES}")
-    for key in ("n_train", "n_eval"):
         if getattr(cfg, key) * n_samples > MAX_DATASET_SAMPLES:
             raise ConfigError(f"{key}={getattr(cfg, key)} items of "
                               f"{n_samples} samples are above "
                               f"{MAX_DATASET_SAMPLES} samples")
-    if cfg.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
-        raise ConfigError(f"sample_rate_hz={cfg.sample_rate_hz} is above "
-                          f"{MAX_SAMPLE_RATE_HZ}")
-    if cfg.max_nfe > MAX_NFE:
-        raise ConfigError(f"max_nfe={cfg.max_nfe} is above {MAX_NFE}")
-    if cfg.n_fft > MAX_N_FFT:
-        raise ConfigError(f"n_fft={cfg.n_fft} is above {MAX_N_FFT}")
-    try:
-        # each of these checks its own fields
-        for cls in (velnet.TrainConfig, flowpath.PathParams,
-                    sampler.NfePolicy):
-            _part(cls, cfg)
-        stft_values = _stft_frames(n_samples, cfg.n_fft, cfg.hop) * cfg.n_fft
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    if stft_values > MAX_STFT_VALUES:
-        raise ConfigError(f"n_fft={cfg.n_fft}, hop={cfg.hop} gives "
-                          f"{stft_values} STFT values per waveform, above "
-                          f"{MAX_STFT_VALUES}")
     return cfg
 
 

@@ -176,6 +176,8 @@ def load_mrnet(path) -> MrRegressor:
     """
     def shapes(m):  # in the order of MrRegressor.parameters
         embed, hidden = m["embed_dim"], m["hidden_dim"]
+        if min(embed, hidden) < 1:  # a zero-width layer holds no weights
+            raise ValueError(f"embed_dim={embed}, hidden_dim={hidden}")
         return [(embed, 3 * (m["feat_n_fft"] // 2 + 1) + 1), (embed,),
                 (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
 

@@ -42,14 +42,19 @@ class Schedule:
         return self.nfe == 0
 
 
+# Largest max_nfe a policy may have (the NFE sweep goes up to 20).
+MAX_NFE = 1000
+
+
 @dataclass(frozen=True)
 class NfePolicy:
     max_nfe: int = 5
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if self.max_nfe < 1:
-            raise ParameterError("max_nfe must be >= 1")
+        if not 1 <= self.max_nfe <= MAX_NFE:
+            raise ParameterError(f"max_nfe={self.max_nfe} is below 1 or above "
+                                 f"{MAX_NFE}")
         if not 0.0 < self.epsilon < 0.1:
             raise ParameterError("epsilon must lie in (0, 0.1)")
 

@@ -32,6 +32,18 @@ DEFAULT_SAMPLE_RATE = 16000
 # 17 minutes at 16 kHz) is 128 MB per float64 waveform.
 MAX_WAVEFORM_SAMPLES = 2 ** 24
 
+# A WAV header holds the byte rate, 2 x rate at 16-bit mono, in 32 bits.
+MAX_SAMPLE_RATE_HZ = 2 ** 31 - 1
+
+# Largest n_fft an STFT may use. The nets grow with n_fft alone: mrnet's
+# first layer holds 64 x (3 x (n_fft // 2 + 1) + 1) float64 weights, about
+# 50 MB at this cap.
+MAX_N_FFT = 2 ** 16
+
+# Largest STFT of one waveform, in frames x n_fft values; at the default
+# 256/64 framing every waveform under MAX_WAVEFORM_SAMPLES fits.
+MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
+
 # Full-scale amplitude mapped to int16 32767 when writing WAV files.
 WAV_FULL_SCALE = 4.0
 
@@ -143,8 +155,6 @@ def synth_source(identity: SpeakerIdentity, duration_s: float,
                  sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
                  seed: int = 0) -> Waveform:
     """Harmonic tone with vibrato and a slow random envelope, unit RMS."""
-    if duration_s <= 0:
-        raise ParameterError("duration must be positive")
     n = int(round(duration_s * sample_rate_hz))
     if n <= 0:
         raise ParameterError("duration too short for the sample rate")
@@ -178,9 +188,6 @@ def synth_background(spec: MixtureSpec, duration_s: float,
                      sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
                      seed: int = 0) -> Waveform:
     """Weighted noise + interferer sum, renormalized to unit RMS."""
-    total_w = spec.noise_weight + sum(w for _, w in spec.interferers)
-    if total_w <= 0:
-        raise ParameterError("all background weights are zero")
     n = int(round(duration_s * sample_rate_hz))
     if n <= 0:
         raise ParameterError("duration must be positive")
@@ -215,6 +222,24 @@ def mix(s1: Waveform, b: Waveform, tau: float) -> Waveform:
 class DatasetConfig:
     duration_s: float = 0.5
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
+
+    def __post_init__(self):
+        rate = self.sample_rate_hz
+        if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+            raise ParameterError(f"sample_rate_hz={rate} is below 1 or above "
+                                 f"{MAX_SAMPLE_RATE_HZ}")
+        try:
+            n = self.n_samples
+        except (OverflowError, ValueError):  # past float range, or NaN
+            n = self.duration_s * rate
+        if not 1 <= n <= MAX_WAVEFORM_SAMPLES:
+            raise ParameterError(f"duration_s={self.duration_s!r} at {rate} "
+                                 f"Hz asks for {n} samples per waveform, "
+                                 f"outside 1 to {MAX_WAVEFORM_SAMPLES}")
+
+    @property
+    def n_samples(self) -> int:
+        return round(self.duration_s * self.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -265,7 +290,7 @@ def _read_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
     None when it is missing, unreadable or fails a check: header, exact
     length, CRC-32 of the payload, and item 0 synthesized again matching
     its stored bytes (which catches changed synthesis code or libm)."""
-    n = int(round(cfg.duration_s * cfg.sample_rate_hz))
+    n = cfg.n_samples
     try:
         with open(path, "rb") as f:
             header = f.readline(len(prefix) + 9)
@@ -360,10 +385,8 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
         if tau_sampler != "uniform":
             raise ParameterError(f"unknown tau sampler: {tau_sampler!r}")
         fixed_tau = None
-    else:
+    else:  # MixtureSpec checks its range
         fixed_tau = float(tau_sampler)
-        if not 0.0 <= fixed_tau <= 1.0:
-            raise ParameterError("fixed tau must lie in [0, 1]")
     cfg = config or DatasetConfig()
     rng = np.random.default_rng(seed)
     plans = [_draw_item(rng, fixed_tau) for _ in range(n_items)]
@@ -400,14 +423,19 @@ def _cached_window(n_fft: int) -> np.ndarray:
 
 def _stft_frames(n: int, n_fft: int, hop: int) -> int:
     """Frame count of `stft` over n samples; raises ParameterError for a
-    framing it cannot run."""
+    framing it cannot run on n samples (see MAX_N_FFT, MAX_STFT_VALUES)."""
     if hop < 1 or n_fft < 2:
         raise ParameterError("n_fft and hop must be positive")
     if n_fft < 2 * hop:
         raise ParameterError("COLA violation: need n_fft >= 2*hop for Hann")
-    if n <= n_fft:
-        return 1
-    return int(np.ceil((n - n_fft) / hop)) + 1
+    if n_fft > MAX_N_FFT:
+        raise ParameterError(f"n_fft={n_fft} is above {MAX_N_FFT}")
+    frames = 1 if n <= n_fft else int(np.ceil((n - n_fft) / hop)) + 1
+    if frames * n_fft > MAX_STFT_VALUES:
+        raise ParameterError(f"n_fft={n_fft}, hop={hop} gives "
+                             f"{frames * n_fft} STFT values for {n} samples, "
+                             f"above {MAX_STFT_VALUES}")
+    return frames
 
 
 # Largest workspace (see `_workspace`) a thread keeps between calls, in
@@ -556,8 +584,8 @@ def write_wav(path, w: Waveform) -> None:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM mono WAV; a malformed or truncated one, or one over
-    MAX_WAVEFORM_SAMPLES (checked before reading), raises FileFormatError."""
+    """Read a 16-bit PCM mono WAV; FileFormatError for a malformed or
+    truncated one, or one past MAX_SAMPLE_RATE_HZ or MAX_WAVEFORM_SAMPLES."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
@@ -565,7 +593,7 @@ def read_wav(path) -> Waveform:
             if f.getsampwidth() != 2:
                 raise FileFormatError(f"{path}: expected 16-bit PCM")
             rate = f.getframerate()
-            if rate < 1:
+            if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
                 raise FileFormatError(f"{path}: WAV declares {rate} Hz")
             n_frames = f.getnframes()
             if n_frames > MAX_WAVEFORM_SAMPLES:

@@ -431,7 +431,8 @@ def load_velnet(path) -> VelocityNet:
     def shapes(m):  # (weight, bias) per layer, then the projection
         dims, fl, tau, enroll = (m["dims"], m["frame_len"], m["tau_dim"],
                                  m["enroll_dim"])
-        if fl < 1 or tau < 0 or tau % 2 or \
+        # a zero-width layer would let dims[0] be any size behind no bytes
+        if min(dims) < 1 or tau < 0 or tau % 2 or \
                 dims[0] != 3 * fl + enroll + tau or dims[-1] != fl:
             raise ValueError(f"no net runs dims={dims} with frame_len={fl},"
                              f" tau_dim={tau} and enroll_dim={enroll}")

@@ -147,14 +147,14 @@ BAD_CONFIG_VALUES = {
     "grad_clip_zero": ("train-mr", ["--set", "grad_clip=0"]),
     "batch_size_zero": ("train-mr", ["--set", "batch_size=0"]),
     "max_nfe_zero": ("ablate", ["--set", "max_nfe=0"]),
-    "max_nfe_past_cap": ("ablate", ["--max-nfe", str(cli.MAX_NFE + 1)]),
+    "max_nfe_past_cap": ("ablate", ["--max-nfe", str(sampler.MAX_NFE + 1)]),
     "epsilon_half": ("ablate", ["--set", "epsilon=0.5"]),
     "hop_zero": ("ablate", ["--set", "hop=0"]),
     "n_fft_cola": ("ablate", ["--set", "n_fft=100"]),
     # 2^18 + 1 frames of 256 at hop 1: 0.5 s at 600 kHz is 300,000 samples
     "stft_past_cap": ("ablate", ["--n-fft", "256", "--hop", "1",
                                  "--set", "sample_rate_hz=600000"]),
-    "n_fft_past_cap": ("train-mr", ["--n-fft", str(cli.MAX_N_FFT + 2),
+    "n_fft_past_cap": ("train-mr", ["--n-fft", str(signal.MAX_N_FFT + 2),
                                     "--hop", "32"]),
     "sigma_min_negative": ("ablate", ["--set", "sigma_min=-1"]),
     # 16,778 items of 8,000 samples are past cli.MAX_DATASET_SAMPLES
@@ -177,11 +177,11 @@ def test_exit_code_bad_config_value(tmp_path, capsys, case):
 
 def test_load_config_sample_cap_is_inclusive():
     # 8 items of 2^24 samples also sit at cli.MAX_DATASET_SAMPLES
-    cap = load_config(None, {"duration_s": str(cli.MAX_WAVEFORM_SAMPLES
+    cap = load_config(None, {"duration_s": str(signal.MAX_WAVEFORM_SAMPLES
                                                / 16000),
                              "n_train": "8", "n_eval": "8"})
     assert round(cap.duration_s * cap.sample_rate_hz) == \
-        cli.MAX_WAVEFORM_SAMPLES
+        signal.MAX_WAVEFORM_SAMPLES
     with pytest.raises(ConfigError, match="samples per waveform"):
         load_config(None, {"duration_s": str(cap.duration_s + 1e-4)})
 
@@ -189,8 +189,8 @@ def test_load_config_sample_cap_is_inclusive():
 # Each pair sits at a cap and one past it. Only load_config sees these
 # values: a command run at the cap would allocate gigabytes.
 CAPS = {
-    "max_nfe": ({"max_nfe": cli.MAX_NFE}, "max_nfe"),
-    "n_fft": ({"n_fft": cli.MAX_N_FFT}, "n_fft"),
+    "max_nfe": ({"max_nfe": sampler.MAX_NFE}, "max_nfe"),
+    "n_fft": ({"n_fft": signal.MAX_N_FFT}, "n_fft"),
     # 2^18 frames of 256 at hop 1 need 2^18 + 255 samples
     "stft_frames": ({"n_fft": 256, "hop": 1, "duration_s": 1.0,
                      "sample_rate_hz": 2 ** 18 + 255}, "sample_rate_hz"),
@@ -200,8 +200,8 @@ CAPS = {
     "n_eval": ({"n_eval": 2 ** 17, "duration_s": 1.0,
                 "sample_rate_hz": 2 ** 10}, "n_eval"),
     # 64 samples per waveform
-    "sample_rate_hz": ({"sample_rate_hz": cli.MAX_SAMPLE_RATE_HZ,
-                        "duration_s": 64 / cli.MAX_SAMPLE_RATE_HZ},
+    "sample_rate_hz": ({"sample_rate_hz": signal.MAX_SAMPLE_RATE_HZ,
+                        "duration_s": 64 / signal.MAX_SAMPLE_RATE_HZ},
                        "sample_rate_hz"),
 }
 
@@ -217,7 +217,7 @@ def test_load_config_caps_are_inclusive(case):
 
 
 def test_gen_data_at_sample_rate_cap(tmp_path):
-    rate = cli.MAX_SAMPLE_RATE_HZ
+    rate = signal.MAX_SAMPLE_RATE_HZ
     assert main(["gen-data", "--out", str(tmp_path), "--set", "n_eval=1",
                  "--set", f"sample_rate_hz={rate}",
                  "--set", f"duration_s={64 / rate!r}"]) == 0
@@ -275,6 +275,13 @@ CORRUPT_CHECKPOINTS = {
         ck / "velnet.ckpt", velnet.VelocityNet.create(0, tau_embed_dim=3)),
     "velnet_tau_dim_negative": lambda ck: velnet.save_velnet(
         ck / "velnet.ckpt", velnet.VelocityNet.create(0, tau_embed_dim=-2)),
+    # a zero-width layer holds no weights, whatever the widths around it
+    "velnet_hidden_width_zero": lambda ck: velnet.save_velnet(
+        ck / "velnet.ckpt", velnet.VelocityNet.create(0, hidden_dims=(64, 0))),
+    "mrnet_embed_dim_zero": lambda ck: mrnet.save_mrnet(
+        ck / "mrnet.ckpt", mrnet.MrRegressor.create(0, embed_dim=0)),
+    "mrnet_hidden_dim_zero": lambda ck: mrnet.save_mrnet(
+        ck / "mrnet.ckpt", mrnet.MrRegressor.create(0, hidden_dim=0)),
 }
 
 
@@ -994,7 +1001,7 @@ def test_extract_caps_input_before_reading(run_dir, tmp_path, capsys, flag):
               "--reference": data / "item_0000_s1.wav"}
     big = tmp_path / "big.wav"
     big.write_bytes(_declare_frames(inputs[flag].read_bytes(),
-                                    cli.MAX_WAVEFORM_SAMPLES + 1))
+                                    signal.MAX_WAVEFORM_SAMPLES + 1))
     inputs[flag] = big
     assert main(["extract", "--config", str(run_dir / "run.cfg"),
                  "--checkpoints", str(cfg.output_dir),
@@ -1004,6 +1011,83 @@ def test_extract_caps_input_before_reading(run_dir, tmp_path, capsys, flag):
     assert out == ""
     assert "big.wav" in err and "16777216" in err
     assert "truncated" not in err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def _write_ckpt(path: Path, magic: str, meta: dict, shapes: list) -> None:
+    signal.write_checkpoint(path, magic, meta, [np.zeros(s) for s in shapes])
+
+
+def _tiny_mrnet_huge_fft(ck, ins, monkeypatch):
+    # under 200 bytes: no weights behind a 2^31-point framing
+    _write_ckpt(ck / "mrnet.ckpt", mrnet._MR_HEADER, {
+        "embed_dim": 0, "hidden_dim": 1, "feat_n_fft": 2 ** 31,
+        "feat_hop": 1, "sample_rate_hz": 16000},
+        [(0, 3 * (2 ** 30 + 1) + 1), (0,), (1, 0), (1,), (1,), (1,)])
+
+
+def _mrnet_hop_one(ck, ins, monkeypatch):
+    # a valid net whose framing needs 256 x (n - 255) values; a cap well
+    # under that stands in for a long --in. The --in length is one that no
+    # earlier STFT in this thread kept a workspace for.
+    mrnet.save_mrnet(ck / "mrnet.ckpt", mrnet.MrRegressor.create(
+        1, feat_n_fft=256, feat_hop=1))
+    x = read_wav(ins["--in"])
+    write_wav(ins["--in"], type(x)(np.resize(x.samples, 4099), 16000))
+    monkeypatch.setattr(signal, "MAX_STFT_VALUES", 2 ** 16)
+
+
+def _rate_past_wav_cap(ck, ins, monkeypatch):
+    for name in ("velnet.ckpt", "mrnet.ckpt"):
+        _set_header(ck / name, b"sample_rate_hz", b"3000000000")
+    for path in ins.values():  # the framerate field of the 44-byte header
+        data = path.read_bytes()
+        path.write_bytes(data[:24] + (3 * 10 ** 9).to_bytes(4, "little")
+                         + data[28:])
+
+
+def _tiny_velnet_wide_input(ck, ins, monkeypatch):
+    # a zero-width hidden layer lets the first layer declare 2^31 + 208
+    # inputs behind no weights
+    _write_ckpt(ck / "velnet.ckpt", velnet._VEL_HEADER, {
+        "dims": "2147483856,0,64", "frame_len": 64, "tau_dim": 2 ** 31,
+        "enroll_dim": 16, "feat_n_fft": 256, "feat_hop": 64,
+        "sample_rate_hz": 16000},
+        [(0, 2147483856), (0,), (64, 0), (64,), (16, 258)])
+
+
+# case: (damages the copied checkpoints and inputs, exit code, in stderr)
+OVERSIZED_WORK = {
+    "mrnet_n_fft_past_cap": (_tiny_mrnet_huge_fft, 4, "above 65536"),
+    "mrnet_stft_past_cap": (_mrnet_hop_one, 2,
+                            "hop=1 gives 984064 STFT values for 4099 "
+                            "samples, above 65536"),
+    "rate_past_wav_cap": (_rate_past_wav_cap, 4, "3000000000 Hz"),
+    "velnet_zero_width_layer": (_tiny_velnet_wide_input, 4,
+                                "no net runs dims=(2147483856, 0, 64)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_WORK))
+def test_extract_oversized_work_exits_before_allocating(
+        run_dir, tmp_path, capsys, monkeypatch, case):
+    damage, code, message = OVERSIZED_WORK[case]
+    cfg = _cfg(run_dir)
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    data = Path(cfg.output_dir) / "dataset"
+    ins = {}
+    for flag, tag in (("--in", "x"), ("--enroll", "e")):
+        ins[flag] = tmp_path / f"{tag}.wav"
+        shutil.copy(data / f"item_0000_{tag}.wav", ins[flag])
+    damage(ck, ins, monkeypatch)
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck),
+                 "--out-wav", str(tmp_path / "o.wav"),
+                 *(str(a) for kv in ins.items() for a in kv)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:" if code == 2 else "I/O error:")
+    assert message in err
     assert not (tmp_path / "o.wav").exists()
 
 

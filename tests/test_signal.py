@@ -205,6 +205,19 @@ def test_make_dataset_mixture_consistent():
         assert "x" not in vars(item)
 
 
+@pytest.mark.parametrize("duration_s, rate, match", [
+    (0.125, 0, "sample_rate_hz=0 is below 1"),
+    (1e-9, signal.MAX_SAMPLE_RATE_HZ + 1, "above"),
+    (0.0, 16000, "0 samples per waveform"),
+    (float("nan"), 16000, "nan samples per waveform"),
+    (1e308, 2 ** 20, "inf samples per waveform"),
+    (signal.MAX_WAVEFORM_SAMPLES / 16000 + 1e-4, 16000, "outside 1 to"),
+])
+def test_dataset_config_rejects_bad_size(duration_s, rate, match):
+    with pytest.raises(ParameterError, match=match):
+        DatasetConfig(duration_s, rate)
+
+
 def test_make_dataset_rejects_bad_args():
     with pytest.raises(ParameterError):
         make_dataset(0, "uniform", CFG, seed=0)
