@@ -26,14 +26,16 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (DatasetConfig, _stft_frames, make_dataset, read_wav,
-                     spectral_record, write_lines, write_tensor, write_wav)
+from .signal import (DatasetConfig, StoredDataset, _stft_frames,
+                     make_dataset, read_wav, spectral_record, write_lines,
+                     write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
 # Largest dataset a config may ask for, in items x samples per waveform:
-# 2^27 is 16,777 items of 0.5 s at 16 kHz, whose s1, e and b take 3 GiB as
-# float64.
+# 2^27 is 16,777 items of 0.5 s at 16 kHz, whose s1, e and b make a 3 GiB
+# store file of float64. It bounds the disk, not memory: commands read the
+# store one item or one batch at a time.
 MAX_DATASET_SAMPLES = 2 ** 27
 
 
@@ -160,14 +162,15 @@ def _part(cls, cfg: RunConfig):
 
 
 # Each set is stored in the output directory, so the commands that share
-# one directory synthesize it once (see `make_dataset`).
+# one directory synthesize it once, and is read from there item by item
+# (see `make_dataset`).
 
-def _train_dataset(cfg: RunConfig, out: Path) -> list:
+def _train_dataset(cfg: RunConfig, out: Path) -> StoredDataset:
     return make_dataset(cfg.n_train, "uniform", _part(DatasetConfig, cfg),
                         cfg.seed, store=out / "train_set.adfd")
 
 
-def _eval_dataset(cfg: RunConfig, out: Path) -> list:
+def _eval_dataset(cfg: RunConfig, out: Path) -> StoredDataset:
     # eval seed offset keeps the two sets disjoint under one config seed
     return make_dataset(cfg.n_eval, "uniform", _part(DatasetConfig, cfg),
                         cfg.seed + 1, store=out / "eval_set.adfd")

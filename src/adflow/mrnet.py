@@ -139,11 +139,18 @@ def _loss_and_grad(reg: MrRegressor, fx, fe, taus):
     return loss, [d_ww, d_wb, d_w1, d_b1, d_w2, d_b2]
 
 
-def mr_train(reg: MrRegressor, dataset: list, config: TrainConfig):
-    """MSE training against ground-truth tau; returns (reg, loss_trace)."""
-    fx = np.stack([mr_features(reg, item.x) for item in dataset])
-    fe = np.stack([mr_features(reg, item.e) for item in dataset])
-    taus = np.array([item.tau for item in dataset])
+def mr_train(reg: MrRegressor, dataset, config: TrainConfig):
+    """MSE training against ground-truth tau; returns (reg, loss_trace).
+
+    The features of every item are taken in one pass over `dataset`, a
+    sequence of MixtureItems, which is not read again.
+    """
+    fx, fe, taus = [], [], []
+    for item in dataset:
+        fx.append(mr_features(reg, item.x))
+        fe.append(mr_features(reg, item.e))
+        taus.append(item.tau)
+    fx, fe, taus = np.stack(fx), np.stack(fe), np.array(taus)
     trace = fit(reg.parameters(), len(dataset), config,
                 lambda idx, rng: _loss_and_grad(reg, fx[idx], fe[idx],
                                                 taus[idx]))

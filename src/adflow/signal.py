@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import io
 import math
+import operator
 import os
 import struct
 import threading
 import wave
+import weakref
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -285,41 +287,76 @@ def _synth_item(plan, cfg: DatasetConfig) -> tuple:
                              bg_seed))
 
 
-def _read_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
-    """The (s1, e, b) waveforms of every item from the store at `path`, or
-    None when it is missing, unreadable or fails a check: header, exact
-    length, CRC-32 of the payload, and item 0 synthesized again matching
-    its stored bytes (which catches changed synthesis code or libm)."""
+def _item(spec: MixtureSpec, s1: Waveform, e: Waveform,
+          b: Waveform) -> MixtureItem:
+    return MixtureItem(e=e, s1=s1, b=b, tau=spec.tau, spec=spec)
+
+
+class StoredDataset(Sequence):
+    """The items of a dataset store, each read from its file when it is
+    accessed; the sequence keeps only the plans and the open file.
+
+    The file is the one `make_dataset` verified or wrote, held open, so
+    replacing or removing the store's path later does not change what is
+    read (adflow only ever replaces a store, never writes into it). The
+    file is closed when the sequence is dropped.
+    """
+
+    def __init__(self, f, offset: int, plans: list, cfg: DatasetConfig):
+        self._file, self._offset, self._plans, self._cfg = (f, offset, plans,
+                                                            cfg)
+        weakref.finalize(self, f.close)
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def __getitem__(self, i) -> MixtureItem:
+        i = range(len(self._plans))[operator.index(i)]
+        n = self._cfg.n_samples
+        self._file.seek(self._offset + 3 * 8 * n * i)
+        # one array per waveform: one (3, n) block per item is above
+        # glibc's mmap threshold at the default sizes, and its pages were
+        # faulted in anew on every read (13,800 minor faults against 2,000
+        # per train-vel call on 64 items of 0.5 s for 5 epochs)
+        waves = []
+        for _ in range(3):
+            arr = np.empty(n, "<f8")
+            if self._file.readinto(arr) != arr.nbytes:
+                raise FileFormatError(f"{self._file.name}: item {i} is cut "
+                                      "short")
+            waves.append(Waveform(arr, self._cfg.sample_rate_hz))
+        return _item(self._plans[i][0], *waves)
+
+
+def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
+    """The store at `path` opened to read, or None when it is missing,
+    unreadable or fails a check: header, exact length, CRC-32 of the
+    payload, finite samples, and item 0 synthesized again matching its
+    stored bytes (which catches changed synthesis code or libm). The checks
+    take one pass over the file, one waveform at a time."""
     n = cfg.n_samples
-    try:
-        with open(path, "rb") as f:
-            header = f.readline(len(prefix) + 9)
-            if (not header.startswith(prefix) or len(header) != len(prefix) + 9
-                    or os.fstat(f.fileno()).st_size
+    with contextlib.ExitStack() as stack:
+        try:
+            f = stack.enter_context(open(path, "rb", buffering=0))
+            header = f.read(len(prefix) + 9)
+            if (not header.startswith(prefix) or os.fstat(f.fileno()).st_size
                     != len(header) + 3 * 8 * n * len(plans)):
                 return None
+            first = [w.samples.tobytes() for w in _synth_item(plans[0], cfg)]
+            stored = np.empty(n, "<f8")
             crc = 0
-            stored = []
-            for _ in plans:
-                trio = [np.empty(n, dtype="<f8") for _ in range(3)]
-                for arr in trio:
-                    if f.readinto(arr) != arr.nbytes:
-                        return None
-                    crc = zlib.crc32(arr, crc)
-                stored.append(trio)
-    except OSError:
-        return None
-    if header[len(prefix):] != b"%08x\n" % crc:
-        return None
-    first = _synth_item(plans[0], cfg)
-    if any(w.samples.tobytes() != arr.tobytes()
-           for w, arr in zip(first, stored[0])):
-        return None
-    try:
-        return [first] + [tuple(Waveform(arr, cfg.sample_rate_hz)
-                                for arr in trio) for trio in stored[1:]]
-    except ParameterError:  # a non-finite sample behind a matching CRC
-        return None
+            for k in range(3 * len(plans)):
+                if (f.readinto(stored) != stored.nbytes
+                        or not np.isfinite(stored).all()
+                        or k < 3 and stored.tobytes() != first[k]):
+                    return None
+                crc = zlib.crc32(stored, crc)
+            if header[len(prefix):] != b"%08x\n" % crc:
+                return None
+        except OSError:
+            return None
+        stack.pop_all()
+    return f
 
 
 @contextlib.contextmanager
@@ -350,34 +387,43 @@ def write_lines(path, lines: list) -> None:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _write_store(path, prefix: bytes, waves: list) -> None:
-    """Atomically replace the store at `path` with `waves`; one waveform
-    is written at a time."""
-    payload = [w.samples.astype("<f8", copy=False)
-               for trio in waves for w in trio]
-    crc = 0
-    for arr in payload:
-        crc = zlib.crc32(arr, crc)
-    with _atomic_open(path) as f:
-        f.write(prefix + b"%08x\n" % crc)
-        for arr in payload:
-            f.write(arr)
+def _write_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
+    """Atomically replace the store at `path` with the planned items,
+    synthesized and written one at a time, and return the new file opened
+    to read. The header's CRC-32 is written last."""
+    with contextlib.ExitStack() as stack:
+        with _atomic_open(path) as f:
+            f.write(prefix + b"%08x\n" % 0)
+            crc = 0
+            for plan in plans:
+                for w in _synth_item(plan, cfg):
+                    arr = w.samples.astype("<f8", copy=False)
+                    crc = zlib.crc32(arr, crc)
+                    f.write(arr)
+            f.seek(len(prefix))
+            f.write(b"%08x" % crc)
+            # the temp file's inode, which os.replace moves to `path`
+            reader = stack.enter_context(open(f.name, "rb", buffering=0))
+        stack.pop_all()
+    return reader
 
 
 def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
-                 seed: int = 0, store=None) -> list:
+                 seed: int = 0, store=None):
     """Build n_items supervised mixtures.
 
     tau_sampler is "uniform" (tau ~ U[0,1] per item) or a float (fixed tau).
     Each item draws a fresh target identity; the enrollment is an independent
     second draw from the same identity. Deterministic given seed.
 
-    With `store`, a file path, the float64 samples of s1, e and b are read
-    from that file when it holds this dataset and passes its checks (see
-    `_read_store`); otherwise they are synthesized and the file is
-    atomically replaced. Every item is the same either way: synthesis draws
-    nothing from the dataset generator, and x is not stored but mixed from
-    s1 and b on each read (see `MixtureItem`).
+    With `store`, a file path, the result is a `StoredDataset`: the float64
+    samples of s1, e and b are in that file, and each item is read from it
+    when it is accessed. The file is used when it holds this dataset and
+    passes its checks (see `_verified_store`); otherwise the items are
+    synthesized one at a time into a file that atomically replaces it.
+    Without `store` the result is a list. Every item is the same either
+    way: synthesis draws nothing from the dataset generator, and x is not
+    stored but mixed from s1 and b on each read (see `MixtureItem`).
     """
     if n_items <= 0:
         raise ParameterError("n_items must be positive")
@@ -390,20 +436,17 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     cfg = config or DatasetConfig()
     rng = np.random.default_rng(seed)
     plans = [_draw_item(rng, fixed_tau) for _ in range(n_items)]
-    waves = None
-    if store is not None:
-        sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
-        prefix = (f"{_STORE_MAGIC} n_items={n_items} tau_sampler={sampler} "
-                  f"seed={seed} duration_s={float(cfg.duration_s)!r} "
-                  f"sample_rate_hz={cfg.sample_rate_hz} "
-                  f"numpy={np.__version__} crc32=").encode()
-        waves = _read_store(store, prefix, plans, cfg)
-    if waves is None:
-        waves = [_synth_item(plan, cfg) for plan in plans]
-        if store is not None:
-            _write_store(store, prefix, waves)
-    return [MixtureItem(e=e, s1=s1, b=b, tau=spec.tau, spec=spec)
-            for (spec, *_), (s1, e, b) in zip(plans, waves)]
+    if store is None:
+        return [_item(plan[0], *_synth_item(plan, cfg)) for plan in plans]
+    sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
+    prefix = (f"{_STORE_MAGIC} n_items={n_items} tau_sampler={sampler} "
+              f"seed={seed} duration_s={float(cfg.duration_s)!r} "
+              f"sample_rate_hz={cfg.sample_rate_hz} "
+              f"numpy={np.__version__} crc32=").encode()
+    f = _verified_store(store, prefix, plans, cfg)
+    if f is None:
+        f = _write_store(store, prefix, plans, cfg)
+    return StoredDataset(f, len(prefix) + 9, plans, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -622,27 +665,47 @@ def write_tensor_stream(f, arr: np.ndarray) -> None:
     f.write(arr.tobytes(order="C"))
 
 
-def _read_exact(f, buf):
-    """Fill `buf`, a bytearray or an array, from `f`; return it."""
-    n = memoryview(buf).nbytes
-    got = f.readinto(buf)
-    if got != n:
+def _read_exact(f, n: int):
+    """The next n bytes of `f`."""
+    data = f.read(n)
+    if len(data) != n:
         raise FileFormatError(f"truncated tensor: expected {n} bytes, "
-                              f"got {got}")
-    return buf
+                              f"got {len(data)}")
+    return data
+
+
+class _ViewReader:
+    """A stream over a bytes object whose reads return views of it, not
+    copies, so arrays `read_tensor_stream` builds from it share its bytes."""
+
+    def __init__(self, data: bytes):
+        self._view, self._pos = memoryview(data), 0
+
+    def read(self, n: int) -> memoryview:
+        out = self._view[self._pos:self._pos + n]
+        self._pos += len(out)
+        return out
+
+    def tell(self) -> int:
+        return self._pos
+
+    def seek(self, offset: int, whence: int = 0) -> int:
+        self._pos = offset + (len(self._view) if whence == 2 else 0)
+        return self._pos
 
 
 def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
-    """Read one tensor as float32, the dtype it is stored in; its stored dims
-    must fit the bytes left in `f` and, with `shape`, equal it, and its
-    values must be finite."""
-    magic = f.read(4)
+    """Read one tensor as a read-only float32 array, the dtype it is stored
+    in, over the bytes `f.read` returned; its stored dims must fit the
+    bytes left in `f` and, with `shape`, equal it, and its values must be
+    finite."""
+    magic = bytes(f.read(4))
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
-    (rank,) = struct.unpack("<I", _read_exact(f, bytearray(4)))
+    (rank,) = struct.unpack("<I", _read_exact(f, 4))
     if rank > _MAX_TENSOR_RANK:
         raise FileFormatError(f"tensor rank {rank} exceeds {_MAX_TENSOR_RANK}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(f, bytearray(4 * rank)))
+    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
     if shape is not None and dims != tuple(shape):
         raise FileFormatError(f"tensor shape {dims} != expected {tuple(shape)}")
     count = math.prod(dims)
@@ -652,7 +715,7 @@ def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
     if 4 * count > left:
         raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
                               f"but only {left} are left")
-    data = _read_exact(f, np.empty(dims, "<f4"))
+    data = np.frombuffer(_read_exact(f, 4 * count), "<f4").reshape(dims)
     if not np.all(np.isfinite(data)):
         raise FileFormatError(f"tensor of dims {dims} holds non-finite values")
     return data
@@ -726,8 +789,9 @@ def read_checkpoint(path, magic: str, shapes, dtype="<f4") -> tuple:
         payload = f.read(size - len(line))
     kept = _kept_checkpoints.get(magic)
     if kept is None or kept[:3] != (line, payload, dtype):
-        # a file cut after the size check fails here as a truncated tensor
-        stream = io.BytesIO(payload)
+        # a file cut after the size check fails here as a truncated tensor;
+        # float32 tensors are views of the payload, others their own arrays
+        stream = _ViewReader(payload)
         tensors = [np.asarray(read_tensor_stream(stream, shape), dtype)
                    for shape in expected]
         for t in tensors:

@@ -375,9 +375,11 @@ def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
     return trace
 
 
-def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
+def train_velocity(net: VelocityNet, dataset, config: TrainConfig,
                    path_params: flowpath.PathParams | None = None):
-    """Train the velocity field on MixtureItems; returns (net, loss_trace).
+    """Train the velocity field on a sequence of MixtureItems; returns
+    (net, loss_trace). The enrollment embeddings take one pass over the
+    items, then each step indexes the items of its batch.
 
     Per step a fresh tau ~ U[0,1] is drawn per item and the path state is
     re-sampled; the regression target is the closed-form velocity. The
@@ -401,6 +403,9 @@ def train_velocity(net: VelocityNet, dataset: list, config: TrainConfig,
             u = flowpath.target_velocity(state, item.b.samples,
                                          item.s1.samples, pp)
             batch.append((state.x, e_embeds[j], tau, u))
+            # dropped before the next read, which then reuses its memory
+            # instead of faulting in fresh pages
+            del item
         return otcfm_loss_and_grad(net, batch)
 
     return net, fit(net.parameters(), len(dataset), config, loss_and_grad)

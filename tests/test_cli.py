@@ -483,6 +483,27 @@ def test_failed_store_write_exits_4(run_dir, tmp_path, capsys):
         ["effective_config.txt", "train_set.adfd"]
 
 
+@pytest.mark.parametrize("command", ["train-vel", "train-mr"])
+def test_training_holds_one_batch_of_the_set(tmp_path, command):
+    # the 64-item set is 12.3 MB of float64; training reads it from its
+    # store one batch of 4 items at a time, so a command peaks below the
+    # size of the set
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n_train = 64\nduration_s = 0.5\nepochs = 1\n"
+                        f"batch_size = 4\noutput_dir = {tmp_path / 'out'}\n",
+                        "utf-8")
+    set_bytes = 64 * 3 * 8000 * 8
+    if command == "train-mr":  # the set is stored, so train-mr reads it
+        assert main(["train-vel", "--config", str(cfg_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < set_bytes, peak
+
+
 class _DiskFullAt:
     """A file opened to write whose write fails, as on a full disk, once it
     would take the file past `limit` bytes; the bytes up to the limit are

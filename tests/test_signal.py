@@ -1,5 +1,9 @@
+import gc
+import os
 import struct
 import sys
+import tracemalloc
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -319,6 +323,88 @@ def test_damaged_store_is_resynthesized(tmp_path, case):
     _assert_same_items(make_dataset(3, "uniform", CFG, seed=5, store=store),
                        plain)
     assert store.read_bytes() == pristine
+
+
+def _traced(fn) -> tuple:
+    """(bytes still allocated, peak bytes) of what fn() allocates, with
+    its result kept."""
+    tracemalloc.start()
+    try:
+        kept = fn()
+        traced = tracemalloc.get_traced_memory()
+        del kept
+        return traced
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_holds_one_item_at_a_time(tmp_path):
+    # 64 items of 0.5 s are 12 MB; at rest the set holds its plans (under
+    # one item's bytes), and writing it, verifying it and one pass over
+    # its items each peak less than 4 items above that
+    cfg = DatasetConfig(duration_s=0.5)
+    item_bytes = 3 * 8 * cfg.n_samples
+    store = tmp_path / "set.adfd"
+    make_dataset(1, "uniform", cfg, seed=5, store=tmp_path / "warm.adfd")
+
+    def build():
+        return make_dataset(64, "uniform", cfg, seed=5, store=store)
+
+    held, miss = _traced(build)
+    _, hit = _traced(build)
+    items = build()
+
+    def read_all():
+        for item in items:
+            item.x
+
+    _, one_pass = _traced(read_all)
+    assert held < item_bytes, held
+    assert max(miss, hit, one_pass) < held + 4 * item_bytes, \
+        (held, miss, hit, one_pass)
+    assert len(items) == 64 and items[-1].spec == items[63].spec
+
+
+@pytest.mark.parametrize("first", ["miss", "hit"])
+@pytest.mark.parametrize("change", ["replaced", "unlinked"])
+def test_stored_items_come_from_the_file_returned(tmp_path, first, change):
+    # the items are read from the file make_dataset verified or wrote, not
+    # from whatever the path names later
+    store = tmp_path / "set.adfd"
+    plain = make_dataset(3, "uniform", CFG, seed=5)
+    if first == "hit":
+        make_dataset(3, "uniform", CFG, seed=5, store=store)
+    items = make_dataset(3, "uniform", CFG, seed=5, store=store)
+    if change == "replaced":
+        other = tmp_path / "other.adfd"
+        make_dataset(3, "uniform", CFG, seed=6, store=other)
+        os.replace(other, store)
+    else:
+        store.unlink()
+    _assert_same_items(items, plain)
+
+
+def test_dropped_dataset_closes_its_file(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(signal, "open", recording_open, raising=False)
+    store = tmp_path / "set.adfd"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in ("miss", "hit"):
+            opened.clear()
+            items = make_dataset(3, "uniform", CFG, seed=5, store=store)
+            assert sum(not f.closed for f in opened) == 1
+            items[1]
+            del items
+            assert all(f.closed for f in opened)
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,26 @@ def test_loaded_net_computes_in_float32(tmp_path):
         velocity_signal(back, x, e[:15], 0.4)
 
 
+def test_loaded_velnet_tensors_are_views_of_its_payload(tmp_path,
+                                                        monkeypatch):
+    # the kept payload is the one copy of the weights a loaded net holds
+    path = tmp_path / "v.ckpt"
+    save_velnet(path, VelocityNet.create(5))
+    monkeypatch.setattr(signal, "_kept_checkpoints", {})
+    tracemalloc.start()
+    try:
+        net = load_velnet(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    payload = np.frombuffer(signal._kept_checkpoints[velnet._VEL_HEADER][1],
+                            np.uint8)
+    tensors = net.parameters() + [net.enroll_proj]
+    assert all(t.dtype == np.float32 and not t.flags.writeable
+               and np.shares_memory(t, payload) for t in tensors)
+    assert held < 1.25 * path.stat().st_size, held
+
+
 def test_byte_equal_checkpoints_parsed_once(tmp_path, monkeypatch):
     # three files with equal bytes: the tensors are parsed for the first
     # and shared, read-only, by every net; each load is a new net object
