@@ -7,10 +7,13 @@ its own subprocess with one BLAS thread and a fixed small config (seed 3,
 32 training items, 12 eval items of 0.5 s, 5 epochs): gen-data, train-vel,
 train-mr, ablate, nfe-sweep, nfe-sweep --field oracle, ablate and
 nfe-sweep with `--set epsilon=0.09` (items whose tau_hat is at least 0.91
-then pass through in more lanes than `tau1`), and extract --reference on
-one item. Every file they write (CSVs, SVG, checkpoints, WAVs, ADFT tensors,
-effective configs, and the dataset stores `run/train_set.adfd`,
-`run/eval_set.adfd`, `oracle/eval_set.adfd` and `eps/eval_set.adfd`) and
+then pass through in more lanes than `tau1`), train-vel into `padded` with
+`--set duration_s=0.5001` (8,002 samples, not a multiple of velnet's
+64-sample frame, so each item's last frame is padded and masked), and
+extract --reference on one item. Every file they write (CSVs, SVG,
+checkpoints, WAVs, ADFT tensors, effective configs, and the dataset stores
+`run/train_set.adfd`, `run/eval_set.adfd`, `oracle/eval_set.adfd`,
+`eps/eval_set.adfd` and `padded/train_set.adfd`) and
 every line they print must match byte for byte.
 
 On each side, one more process then calls `adflow.cli.main` twice: an
@@ -70,6 +73,7 @@ COMMANDS = (
      "--set", "epsilon=0.09"],
     ["nfe-sweep", "--checkpoints", "run", "--out", "eps",
      "--set", "epsilon=0.09"],
+    ["train-vel", "--out", "padded", "--set", "duration_s=0.5001"],
     extract("extract.wav"),
 )
 

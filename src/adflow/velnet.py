@@ -125,13 +125,14 @@ def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
     return net.enroll_proj @ ((f - f.mean()) / (f.std() + 1e-8))
 
 
-def _forward(net: VelocityNet, rows: np.ndarray):
-    """Forward pass over a (n, input_dim) batch; returns (out, activations)."""
+def _forward(net: VelocityNet, rows: np.ndarray, outs=None):
+    """Forward pass over a (n, input_dim) batch; returns (out, activations).
+    Layer i writes its output into `outs[i]` if given, else a new array."""
     acts = [rows]
     h = rows
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T
+        h = np.matmul(h, w.T, out=None if outs is None else outs[i])
         h += b
         if i != last:
             np.tanh(h, out=h)
@@ -139,12 +140,14 @@ def _forward(net: VelocityNet, rows: np.ndarray):
     return h, acts
 
 
-def _backward(net: VelocityNet, acts: list, d_out: np.ndarray) -> list:
+def _backward(net: VelocityNet, acts: list, d_out: np.ndarray,
+              scratch: np.ndarray | None = None) -> list:
     """Gradients of a scalar loss wrt parameters, given dLoss/dOutput.
 
-    Consumes `acts`, the list `_forward` returned: each activation is
-    popped before its last read and a hidden one becomes its tanh slope in
-    place, so it is freed once its step is done.
+    Consumes `acts`, the list `_forward` returned: a hidden activation
+    becomes, in place, its tanh slope and then the gradient wrt its
+    pre-activation. The product with the layer's weights that the slope
+    scales goes into the flat `scratch` if given, else a new array.
     """
     grads = [None] * (2 * len(net.weights))
     del acts[-1]  # the output: not read
@@ -154,12 +157,28 @@ def _backward(net: VelocityNet, acts: list, d_out: np.ndarray) -> list:
         grads[2 * i] = dz.T @ act
         grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
-            dz = dz @ net.weights[i]
-            # act = tanh(z_{i-1}) becomes its slope 1 - act^2
+            # act = tanh(z_{i-1}) becomes its slope 1 - act^2, then dz_{i-1}
             np.square(act, out=act)
             np.subtract(1.0, act, out=act)
-            dz *= act
+            act *= np.matmul(dz, net.weights[i], out=None if scratch is None
+                             else scratch[:act.size].reshape(act.shape))
+            dz = act
     return grads
+
+
+class _StepBuffers:
+    """A training step's operands in the weights' dtype, for up to `n_rows`
+    rows: rows, framed targets, each layer's output and one backward
+    scratch of the widest hidden width."""
+
+    def __init__(self, net: VelocityNet, n_rows: int):
+        dtype = net.weights[0].dtype
+        self.rows = np.empty((n_rows, net.input_dim), dtype)
+        self.targets = np.empty((n_rows, net.frame_len), dtype)
+        self.outs = [np.empty((n_rows, w.shape[0]), dtype)
+                     for w in net.weights]
+        self.scratch = np.empty(
+            n_rows * max(net.layer_dims[1:-1], default=0), dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -223,45 +242,50 @@ def velocity_signal(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
 # ---------------------------------------------------------------------------
 # Loss and training
 
-def otcfm_loss_and_grad(net: VelocityNet, batch: list):
+def otcfm_loss_and_grad(net: VelocityNet, batch, buffers=None):
     """Mean-squared velocity regression over a batch.
 
-    batch items are (x_tau, e_embed, tau, u_target) with x_tau/u_target
-    equal-length signals. Returns (loss, grads) with grads ordered like
-    net.parameters(). The rows of all items, their framed targets and the
-    mask of their unpadded samples are written into one matrix each, in
-    the weights' dtype, and the whole batch takes one forward and one
-    backward pass; targets and mask are dropped once the residual is formed.
+    Each batch entry unpacks to (x_tau, e_embed, tau, u_target), with
+    x_tau and u_target 1-D signals of length `len(entry[0])`. Returns
+    (loss, grads) with grads ordered like net.parameters(). The whole batch
+    takes one forward and one backward pass in the weights' dtype, over the
+    operands in `buffers` (a `_StepBuffers` of at least the batch's rows,
+    which a fit reuses at every step) or in new ones. The entries are
+    unpacked one at a time, and each one's arrays are dropped once its rows
+    and framed target are written, so an entry may build them when
+    unpacked, as `train_velocity`'s do.
     """
     fl = net.frame_len
-    sizes = []
-    for x_tau, _, _, u_target in batch:
-        if np.shape(x_tau) != np.shape(u_target):
-            raise ShapeError("x_tau and u_target must have equal length")
-        sizes.append(np.size(x_tau))
+    sizes = [len(entry[0]) for entry in batch]
     counts = [_n_frames(n, fl) for n in sizes]
-    n_rows, dtype = sum(counts), net.weights[0].dtype
-    rows = np.empty((n_rows, net.input_dim), dtype=dtype)
-    targets = np.zeros((n_rows, fl), dtype=dtype)
-    mask = np.zeros((n_rows, fl), dtype=dtype)
+    n_rows = sum(counts)
+    buf = _StepBuffers(net, n_rows) if buffers is None else buffers
+    rows, targets = buf.rows[:n_rows], buf.targets[:n_rows]
     start = 0
-    for (x_tau, e_embed, tau, u_target), n, count in zip(batch, sizes,
-                                                         counts):
+    for entry, n, count in zip(batch, sizes, counts):
+        x_tau, e_embed, tau, u_target = entry
+        if np.shape(x_tau) != (n,) or np.shape(u_target) != (n,):
+            raise ShapeError("x_tau and u_target must have equal length")
         stop = start + count
         _fill_rows(rows[start:stop], net, x_tau, np.asarray(e_embed), tau)
-        targets[start:stop].reshape(-1)[:n] = u_target
-        mask[start:stop].reshape(-1)[:n] = 1.0
+        framed = targets[start:stop].reshape(-1)
+        framed[:n] = u_target
+        framed[n:] = 0.0  # a reused buffer holds an earlier batch's values
         start = stop
+        del x_tau, u_target
     total = sum(sizes)
     # the output becomes the residual in place: _backward does not read it
-    diff, acts = _forward(net, rows)
+    diff, acts = _forward(net, rows, [out[:n_rows] for out in buf.outs])
     diff -= targets
-    diff *= mask
-    del targets, mask
-    loss = float(np.sum(diff ** 2) / total)
+    start = 0
+    for n, count in zip(sizes, counts):
+        # times 0.0, as by a 0/1 mask of the unpadded samples
+        diff[start:start + count].reshape(-1)[n:] *= 0.0
+        start += count
+    loss = float(np.sum(np.square(diff, out=targets)) / total)
     diff *= 2.0
     diff /= total
-    return loss, _backward(net, acts, diff)
+    return loss, _backward(net, acts, diff, buf.scratch)
 
 
 @dataclass
@@ -364,6 +388,7 @@ def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             grads, _ = clip_gradients(grads, config.grad_clip)
             opt.step(params, grads, lr)
+            del grads  # not held through the next step
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     # The loss check runs before each step, so it cannot see the last one;
@@ -375,38 +400,60 @@ def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
     return trace
 
 
+class _PathEntry:
+    """An `otcfm_loss_and_grad` batch entry for item `j` at `tau`: unpacking
+    it reads the item and samples its path state and target velocity, so
+    these float64 arrays live only while the step writes them. `entry[0]`
+    stands for x_tau by its length only, which is what sizes the batch."""
+
+    def __init__(self, dataset, j: int, embedded: tuple, tau: float,
+                 seed: int, pp: flowpath.PathParams):
+        self.dataset, self.j, self.tau, self.seed, self.pp = (dataset, j, tau,
+                                                              seed, pp)
+        self.e_embed, self.n = embedded
+
+    def __getitem__(self, k):
+        if k != 0:
+            raise IndexError("only entry[0], x_tau's length, is indexed")
+        return range(self.n)
+
+    def __iter__(self):
+        item = self.dataset[self.j]
+        b, s1 = item.b.samples, item.s1.samples
+        del item  # its enrollment waveform is not read
+        state = flowpath.sample_path_state(b, s1, self.tau, self.pp,
+                                           seed=self.seed)
+        return iter((state.x, self.e_embed, self.tau,
+                     flowpath.target_velocity(state, b, s1, self.pp)))
+
+
 def train_velocity(net: VelocityNet, dataset, config: TrainConfig,
                    path_params: flowpath.PathParams | None = None):
     """Train the velocity field on a sequence of MixtureItems; returns
-    (net, loss_trace). The enrollment embeddings take one pass over the
-    items, then each step indexes the items of its batch.
+    (net, loss_trace).
 
-    Per step a fresh tau ~ U[0,1] is drawn per item and the path state is
-    re-sampled; the regression target is the closed-form velocity. The
-    net's weights and biases are first cast to float32, the dtype its
+    The net's weights and biases are first cast to float32, the dtype its
     checkpoint stores, so training computes in float32 and leaves `net`
-    float32; the enrollment projection stays as it is.
+    float32; the enrollment projection stays as it is. One pass over the
+    items takes their enrollment embeddings and lengths, which size one set
+    of step operands for the fit, as many rows as the largest batch. Per
+    step a fresh tau ~ U[0,1] and path seed are drawn per item, and the
+    step reads its items one at a time: each item's path state is
+    re-sampled, and it and the closed-form target velocity are written into
+    the operands and dropped before the next item is read.
     """
     pp = path_params or flowpath.PathParams()
     net.weights = [w.astype(np.float32) for w in net.weights]
     net.biases = [b.astype(np.float32) for b in net.biases]
-    e_embeds = [embed_enrollment(item.e, net) for item in dataset]
+    embedded = [(embed_enrollment(item.e, net), len(item.b))
+                for item in dataset]
+    counts = sorted(_n_frames(n, net.frame_len) for _, n in embedded)
+    buffers = _StepBuffers(net, sum(counts[-config.batch_size:]))
 
     def loss_and_grad(idx, rng):
-        batch = []
-        for j in idx:
-            item = dataset[j]
-            tau = float(rng.uniform())
-            state = flowpath.sample_path_state(
-                item.b.samples, item.s1.samples, tau, pp,
-                seed=int(rng.integers(0, 2 ** 31)))
-            u = flowpath.target_velocity(state, item.b.samples,
-                                         item.s1.samples, pp)
-            batch.append((state.x, e_embeds[j], tau, u))
-            # dropped before the next read, which then reuses its memory
-            # instead of faulting in fresh pages
-            del item
-        return otcfm_loss_and_grad(net, batch)
+        batch = [_PathEntry(dataset, j, embedded[j], float(rng.uniform()),
+                            int(rng.integers(0, 2 ** 31)), pp) for j in idx]
+        return otcfm_loss_and_grad(net, batch, buffers=buffers)
 
     return net, fit(net.parameters(), len(dataset), config, loss_and_grad)
 

@@ -504,6 +504,64 @@ def test_training_holds_one_batch_of_the_set(tmp_path, command):
     assert peak < set_bytes, peak
 
 
+def test_training_step_reuses_its_operands(tmp_path, monkeypatch):
+    # train-vel on a stored set of 64 items of 0.5 s in batches of 16 (125
+    # frames per item): the step's operands are allocated once per fit and
+    # each step reads its items one at a time, so a step after the first
+    # allocates under 1 MiB above what was live before it, and the training
+    # call peaks below its operands, one item's five float64 waveforms and
+    # four times the parameters (values, gradients, AdamW's two moments)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n_train = 64\nduration_s = 0.5\nepochs = 1\n"
+                        f"batch_size = 16\noutput_dir = {tmp_path / 'out'}\n",
+                        "utf-8")
+    # writes the store and the spectral workspace the measured run reuses
+    assert main(["train-vel", "--config", str(cfg_path)]) == 0
+    real_train, real_fit = velnet.train_velocity, velnet.fit
+    steps, peaks, trained = [], [], []
+
+    def fit(params, n_items, config, loss_and_grad):
+        live = []
+
+        def step(idx, rng):
+            current, peak = tracemalloc.get_traced_memory()
+            if live:
+                steps.append(peak - live[-1])
+            peaks.append(peak)
+            live.append(current)
+            tracemalloc.reset_peak()
+            return loss_and_grad(idx, rng)
+
+        trace = real_fit(params, n_items, config, step)
+        steps.append(tracemalloc.get_traced_memory()[1] - live[-1])
+        return trace
+
+    def train_velocity(net, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_train(net, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        trained.append((net, max(peaks) - start))
+        return out
+
+    monkeypatch.setattr(velnet, "train_velocity", train_velocity)
+    monkeypatch.setattr(velnet, "fit", fit)
+    tracemalloc.start()
+    try:
+        assert main(["train-vel", "--config", str(cfg_path)]) == 0
+    finally:
+        tracemalloc.stop()
+    (net, peak), = trained
+    dims = net.layer_dims
+    operands = 4 * 16 * 125 * (dims[0] + dims[-1] + sum(dims[1:])
+                               + max(dims[1:-1]))
+    bound = operands + 5 * 8 * 8000 + 4 * sum(p.nbytes
+                                              for p in net.parameters())
+    assert len(steps) == 4
+    assert max(steps[1:]) < 2 ** 20, steps
+    assert peak < bound, (peak, bound)
+
+
 class _DiskFullAt:
     """A file opened to write whose write fails, as on a full disk, once it
     would take the file past `limit` bytes; the bytes up to the limit are

@@ -1,11 +1,12 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from adflow.errors import ParameterError, ShapeError
-from adflow.flowpath import PathParams
+from adflow.flowpath import PathParams, sample_path_state, target_velocity
 from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
 from adflow import signal, velnet
 from adflow.velnet import (AdamW, TrainConfig, VelocityNet, _build_rows,
@@ -242,9 +243,9 @@ def test_batch_matrix_equals_stacked_rows(monkeypatch, dtype):
     seen = []
     real_forward = velnet._forward
 
-    def recording_forward(net, rows):
+    def recording_forward(net, rows, *outs):
         seen.append(rows.copy())
-        return real_forward(net, rows)
+        return real_forward(net, rows, *outs)
 
     monkeypatch.setattr(velnet, "_forward", recording_forward)
     _, grads = otcfm_loss_and_grad(net, batch)
@@ -279,6 +280,21 @@ def test_loss_and_grad_rejects_mismatched_lengths():
     net = tiny_net()
     with pytest.raises(ShapeError):
         otcfm_loss_and_grad(net, [(np.ones(24), np.ones(4), 0.5, np.ones(23))])
+
+
+def test_reused_operands_give_the_bytes_of_new_ones():
+    # one set of operands through batches with and without padded frames:
+    # a stale padded tail in the reused targets would change the bytes
+    net = as_float32(VelocityNet.create(7))
+    unpadded, padded = (8000, 64, 128), (8001, 63, 1, 8002)
+    buffers = velnet._StepBuffers(net, 125 + 1 + 1 + 1 + 126)
+    for k, lengths in enumerate((unpadded, padded, unpadded, padded)):
+        batch = _batch(lengths, seed=k)
+        loss, grads = otcfm_loss_and_grad(net, batch, buffers=buffers)
+        new_loss, new_grads = otcfm_loss_and_grad(net, batch)
+        assert loss == new_loss
+        assert [g.tobytes() for g in grads] == \
+            [g.tobytes() for g in new_grads]
 
 
 def _grad_check(seed, h=1e-4):
@@ -454,6 +470,68 @@ def test_training_deterministic():
         _, trace = train_velocity(net, items, TrainConfig(epochs=3, seed=11))
         traces.append(trace)
     assert traces[0] == traces[1]
+
+
+def _fresh_batch_train_velocity(net, dataset, config, pp):
+    """`train_velocity` as one list per step of every item's float64 path
+    state and target, then one `otcfm_loss_and_grad` call on new
+    operands."""
+    net.weights = [w.astype(np.float32) for w in net.weights]
+    net.biases = [b.astype(np.float32) for b in net.biases]
+    e_embeds = [embed_enrollment(item.e, net) for item in dataset]
+
+    def loss_and_grad(idx, rng):
+        batch = []
+        for j in idx:
+            b, s1 = dataset[j].b.samples, dataset[j].s1.samples
+            tau = float(rng.uniform())
+            state = sample_path_state(b, s1, tau, pp,
+                                      seed=int(rng.integers(0, 2 ** 31)))
+            batch.append((state.x, e_embeds[j], tau,
+                          target_velocity(state, b, s1, pp)))
+        return otcfm_loss_and_grad(net, batch)
+
+    return velnet.fit(net.parameters(), len(dataset), config, loss_and_grad)
+
+
+@pytest.mark.parametrize("kind", ["stored_8000", "stored_8002",
+                                  "mixed_list"])
+def test_training_matches_a_fresh_batch_per_step(tmp_path, kind):
+    # streamed items and operands reused across steps give the bytes of a
+    # batch built whole each step; 0.5001 s is 8,002 samples, whose last
+    # frame is padded
+    if kind == "mixed_list":
+        items, pp = [], PathParams(0.01, 0.1)
+        for k, duration in enumerate((0.125, 0.25, 0.1001)):
+            items += make_dataset(3, "uniform",
+                                  DatasetConfig(duration_s=duration), seed=k)
+    else:
+        items, pp = make_dataset(
+            10, "uniform", DatasetConfig(duration_s=0.5 if kind.endswith(
+                "8000") else 0.5001), seed=4, store=tmp_path / "set.adfd"), \
+            PathParams()
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=2)
+    net, trace = train_velocity(VelocityNet.create(3), items, cfg, pp)
+    ref = VelocityNet.create(3)
+    assert trace == _fresh_batch_train_velocity(ref, items, cfg, pp)
+    assert [p.tobytes() for p in net.parameters()] == \
+        [p.tobytes() for p in ref.parameters()]
+
+
+def test_fit_drops_each_steps_gradients():
+    # a step's gradients are not held through the next step's forward and
+    # backward
+    applied = []
+
+    def loss_and_grad(idx, rng):
+        assert all(ref() is None for ref in applied)
+        grad = np.ones(3)
+        applied.append(weakref.ref(grad))
+        return 1.0, [grad]
+
+    velnet.fit([np.zeros(3)], 4, TrainConfig(batch_size=1, epochs=1,
+                                             grad_clip=10.0), loss_and_grad)
+    assert len(applied) == 4
 
 
 def test_single_pair_convergence_predicts_difference():
