@@ -9,12 +9,14 @@ train-mr, ablate, nfe-sweep, nfe-sweep --field oracle, ablate and
 nfe-sweep with `--set epsilon=0.09` (items whose tau_hat is at least 0.91
 then pass through in more lanes than `tau1`), train-vel into `padded` with
 `--set duration_s=0.5001` (8,002 samples, not a multiple of velnet's
-64-sample frame, so each item's last frame is padded and masked), and
-extract --reference on one item. Every file they write (CSVs, SVG,
-checkpoints, WAVs, ADFT tensors, effective configs, and the dataset stores
-`run/train_set.adfd`, `run/eval_set.adfd`, `oracle/eval_set.adfd`,
-`eps/eval_set.adfd` and `padded/train_set.adfd`) and
-every line they print must match byte for byte.
+64-sample frame, so each item's last frame is padded and masked),
+train-vel into `long` with `--set duration_s=1.1` (17,600 samples, 275
+frames, so every item is split between two of velnet's 256-row training
+blocks), and extract --reference on one item. Every file they write (CSVs,
+SVG, checkpoints, WAVs, ADFT tensors, effective configs, and the dataset
+stores `run/train_set.adfd`, `run/eval_set.adfd`, `oracle/eval_set.adfd`,
+`eps/eval_set.adfd`, `padded/train_set.adfd` and `long/train_set.adfd`)
+and every line they print must match byte for byte.
 
 On each side, one more process then calls `adflow.cli.main` twice: an
 extract with `--max-nfe 1 --n-fft 510 --hop 128` into `reuse_first.wav`,
@@ -74,6 +76,7 @@ COMMANDS = (
     ["nfe-sweep", "--checkpoints", "run", "--out", "eps",
      "--set", "epsilon=0.09"],
     ["train-vel", "--out", "padded", "--set", "duration_s=0.5001"],
+    ["train-vel", "--out", "long", "--set", "duration_s=1.1"],
     extract("extract.wav"),
 )
 

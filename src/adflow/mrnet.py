@@ -143,14 +143,16 @@ def mr_train(reg: MrRegressor, dataset, config: TrainConfig):
     """MSE training against ground-truth tau; returns (reg, loss_trace).
 
     The features of every item are taken in one pass over `dataset`, a
-    sequence of MixtureItems, which is not read again.
+    sequence of MixtureItems, which is not read again, and written into
+    arrays of one row per item.
     """
-    fx, fe, taus = [], [], []
-    for item in dataset:
-        fx.append(mr_features(reg, item.x))
-        fe.append(mr_features(reg, item.e))
-        taus.append(item.tau)
-    fx, fe, taus = np.stack(fx), np.stack(fe), np.array(taus)
+    fx, fe = (np.empty((len(dataset), reg.extract_w.shape[1]))
+              for _ in range(2))
+    taus = np.empty(len(dataset))
+    for k, item in enumerate(dataset):
+        fx[k] = mr_features(reg, item.x)
+        fe[k] = mr_features(reg, item.e)
+        taus[k] = item.tau
     trace = fit(reg.parameters(), len(dataset), config,
                 lambda idx, rng: _loss_and_grad(reg, fx[idx], fe[idx],
                                                 taus[idx]))

@@ -13,6 +13,7 @@ when trained or loaded from a checkpoint, which stores float32.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,44 +142,63 @@ def _forward(net: VelocityNet, rows: np.ndarray, outs=None):
 
 
 def _backward(net: VelocityNet, acts: list, d_out: np.ndarray,
-              scratch: np.ndarray | None = None) -> list:
-    """Gradients of a scalar loss wrt parameters, given dLoss/dOutput.
+              buf: _StepBuffers, grads: list) -> None:
+    """Add one block's gradients of a scalar loss wrt the parameters, given
+    dLoss/dOutput, to `grads`, ordered like net.parameters(); a None entry
+    becomes a copy of the block's gradient.
 
+    Each weight and bias product is written into `buf.partials` first.
     Consumes `acts`, the list `_forward` returned: a hidden activation
     becomes, in place, its tanh slope and then the gradient wrt its
-    pre-activation. The product with the layer's weights that the slope
-    scales goes into the flat `scratch` if given, else a new array.
+    pre-activation; the product with the layer's weights that the slope
+    scales goes into `buf.scratch`.
     """
-    grads = [None] * (2 * len(net.weights))
     del acts[-1]  # the output: not read
     dz = d_out
     for i in range(len(net.weights) - 1, -1, -1):
         act = acts.pop()
-        grads[2 * i] = dz.T @ act
-        grads[2 * i + 1] = dz.sum(axis=0)
+        np.matmul(dz.T, act, out=buf.partials[2 * i])
+        np.sum(dz, axis=0, out=buf.partials[2 * i + 1])
+        for k in (2 * i, 2 * i + 1):
+            if grads[k] is None:
+                grads[k] = buf.partials[k].copy()
+            else:
+                grads[k] += buf.partials[k]
         if i > 0:
             # act = tanh(z_{i-1}) becomes its slope 1 - act^2, then dz_{i-1}
             np.square(act, out=act)
             np.subtract(1.0, act, out=act)
-            act *= np.matmul(dz, net.weights[i], out=None if scratch is None
-                             else scratch[:act.size].reshape(act.shape))
+            act *= np.matmul(dz, net.weights[i],
+                             out=buf.scratch[:act.size].reshape(act.shape))
             dz = act
-    return grads
+
+
+# Rows per training block. The weight-gradient GEMM reduces over a block's
+# rows, and OpenBLAS gives the same bytes under 1 and 2 threads for a
+# reduction of at most 256 (not for 500 to 3,500), so training does not
+# depend on the thread count.
+_BLOCK_ROWS = 256
 
 
 class _StepBuffers:
-    """A training step's operands in the weights' dtype, for up to `n_rows`
-    rows: rows, framed targets, each layer's output and one backward
-    scratch of the widest hidden width."""
+    """One training block's operands in the weights' dtype, as views into
+    one array: rows, framed targets, each layer's output, one backward
+    scratch of the widest hidden width and one partial product per
+    parameter. Holds a whole block, or all `n_rows` if fewer."""
 
     def __init__(self, net: VelocityNet, n_rows: int):
-        dtype = net.weights[0].dtype
-        self.rows = np.empty((n_rows, net.input_dim), dtype)
-        self.targets = np.empty((n_rows, net.frame_len), dtype)
-        self.outs = [np.empty((n_rows, w.shape[0]), dtype)
-                     for w in net.weights]
-        self.scratch = np.empty(
-            n_rows * max(net.layer_dims[1:-1], default=0), dtype)
+        n = min(n_rows, _BLOCK_ROWS)
+        shapes = [(n, net.input_dim), (n, net.frame_len),
+                  (n * max(net.layer_dims[1:-1], default=0),),
+                  *[(n, w.shape[0]) for w in net.weights],
+                  *[p.shape for p in net.parameters()]]
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.empty(sum(sizes), net.weights[0].dtype)
+        self.rows, self.targets, self.scratch, *views = [
+            part.reshape(shape) for part, shape in
+            zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        self.outs, self.partials = (views[:len(net.weights)],
+                                    views[len(net.weights):])
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +208,27 @@ def _n_frames(n_samples: int, frame_len: int) -> int:
     return max(1, -(-n_samples // frame_len))
 
 
-def frame_signal(x: np.ndarray, frame_len: int):
-    """Split into non-overlapping frames, zero-padding the tail."""
-    x = np.asarray(x, dtype=np.float64)
-    nf = _n_frames(x.size, frame_len)
-    padded = np.zeros(nf * frame_len)
-    padded[:x.size] = x
-    return padded.reshape(nf, frame_len)
-
-
 def _fill_rows(rows: np.ndarray, net: VelocityNet, x: np.ndarray,
-               e_embed: np.ndarray, tau: float) -> None:
-    """Write the net input into `rows`, one row per frame of
-    `frame_signal(x, net.frame_len)`: [previous frame | frame | next frame |
-    e_embed | tau embedding], with zero frames past either edge."""
-    fl = net.frame_len
+               e_embed: np.ndarray, tau: float, first: int = 0) -> None:
+    """Write the net input into `rows`, one row per frame of x from frame
+    `first` on: [previous frame | frame | next frame | e_embed | tau
+    embedding]. Frames are non-overlapping, of `net.frame_len` samples; the
+    last one is zero-padded, and frames past either edge are zero."""
+    fl, n = net.frame_len, len(rows)
     te = embed_tau(tau, net.tau_embed_dim)
     width = 3 * fl + e_embed.size + te.size
     if width != net.input_dim:
         raise ShapeError(
             f"built input dim {width} != net input dim {net.input_dim}")
-    frames = frame_signal(x, fl)
-    rows[0, :fl] = 0.0
-    rows[1:, :fl] = frames[:-1]
-    rows[:, fl:2 * fl] = frames
-    rows[:-1, 2 * fl:3 * fl] = frames[1:]
-    rows[-1, 2 * fl:3 * fl] = 0.0
+    # frames first - 1 .. first + n, zero where they lie outside x
+    context = np.zeros((n + 2) * fl)
+    lo = (first - 1) * fl
+    piece = np.asarray(x, dtype=np.float64)[max(lo, 0):(first + n + 1) * fl]
+    context[max(-lo, 0):max(-lo, 0) + piece.size] = piece
+    frames = context.reshape(n + 2, fl)
+    rows[:, :fl] = frames[:-2]
+    rows[:, fl:2 * fl] = frames[1:-1]
+    rows[:, 2 * fl:3 * fl] = frames[2:]
     rows[:, 3 * fl:3 * fl + e_embed.size] = e_embed
     rows[:, 3 * fl + e_embed.size:] = te
 
@@ -242,50 +257,72 @@ def velocity_signal(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
 # ---------------------------------------------------------------------------
 # Loss and training
 
+def _fill_blocks(net: VelocityNet, batch, sizes: list, buf: _StepBuffers):
+    """Write the batch's rows and framed targets into `buf` in item order;
+    yield (rows, padded spans) when a block of `_BLOCK_ROWS` rows is full,
+    and for the last block. A padded span (start, stop) indexes the block's
+    flattened targets. An item is unpacked at its first row and dropped
+    after its last, so only an item split between blocks outlives one."""
+    fl = net.frame_len
+    filled, padded = 0, []
+    for entry, n in zip(batch, sizes):
+        x_tau, e_embed, tau, u_target = entry
+        if np.shape(x_tau) != (n,) or np.shape(u_target) != (n,):
+            raise ShapeError("x_tau and u_target must have equal length")
+        e_embed, u_target = np.asarray(e_embed), np.asarray(u_target)
+        count, first = _n_frames(n, fl), 0
+        while first < count:
+            take = min(count - first, _BLOCK_ROWS - filled)
+            stop = filled + take
+            _fill_rows(buf.rows[filled:stop], net, x_tau, e_embed, tau, first)
+            framed = buf.targets[filled:stop].reshape(-1)
+            piece = u_target[first * fl:(first + take) * fl]
+            framed[:piece.size] = piece
+            framed[piece.size:] = 0.0  # a reused buffer holds older values
+            if piece.size < framed.size:
+                padded.append((filled * fl + piece.size, stop * fl))
+            filled, first = stop, first + take
+            if filled == _BLOCK_ROWS:
+                yield filled, padded
+                filled, padded = 0, []
+        del x_tau, u_target
+    if filled:
+        yield filled, padded
+
+
 def otcfm_loss_and_grad(net: VelocityNet, batch, buffers=None):
     """Mean-squared velocity regression over a batch.
 
     Each batch entry unpacks to (x_tau, e_embed, tau, u_target), with
     x_tau and u_target 1-D signals of length `len(entry[0])`. Returns
-    (loss, grads) with grads ordered like net.parameters(). The whole batch
-    takes one forward and one backward pass in the weights' dtype, over the
-    operands in `buffers` (a `_StepBuffers` of at least the batch's rows,
-    which a fit reuses at every step) or in new ones. The entries are
-    unpacked one at a time, and each one's arrays are dropped once its rows
-    and framed target are written, so an entry may build them when
-    unpacked, as `train_velocity`'s do.
+    (loss, grads) with grads ordered like net.parameters(), in the weights'
+    dtype. The batch's rows, one per frame, run in item order in blocks of
+    `_BLOCK_ROWS` rows, a long item split between two or more; each block
+    takes one forward and one backward pass, and its squared error and
+    gradients are added to the step's in block order, so the step's memory
+    is set by the block, not the batch. The blocks use `buffers` (a
+    `_StepBuffers`, which a fit reuses at every step) or new ones. The
+    entries are unpacked one at a time as the blocks reach them, so an
+    entry may build its arrays when unpacked, as `train_velocity`'s do.
     """
-    fl = net.frame_len
     sizes = [len(entry[0]) for entry in batch]
-    counts = [_n_frames(n, fl) for n in sizes]
-    n_rows = sum(counts)
-    buf = _StepBuffers(net, n_rows) if buffers is None else buffers
-    rows, targets = buf.rows[:n_rows], buf.targets[:n_rows]
-    start = 0
-    for entry, n, count in zip(batch, sizes, counts):
-        x_tau, e_embed, tau, u_target = entry
-        if np.shape(x_tau) != (n,) or np.shape(u_target) != (n,):
-            raise ShapeError("x_tau and u_target must have equal length")
-        stop = start + count
-        _fill_rows(rows[start:stop], net, x_tau, np.asarray(e_embed), tau)
-        framed = targets[start:stop].reshape(-1)
-        framed[:n] = u_target
-        framed[n:] = 0.0  # a reused buffer holds an earlier batch's values
-        start = stop
-        del x_tau, u_target
     total = sum(sizes)
-    # the output becomes the residual in place: _backward does not read it
-    diff, acts = _forward(net, rows, [out[:n_rows] for out in buf.outs])
-    diff -= targets
-    start = 0
-    for n, count in zip(sizes, counts):
-        # times 0.0, as by a 0/1 mask of the unpadded samples
-        diff[start:start + count].reshape(-1)[n:] *= 0.0
-        start += count
-    loss = float(np.sum(np.square(diff, out=targets)) / total)
-    diff *= 2.0
-    diff /= total
-    return loss, _backward(net, acts, diff, buf.scratch)
+    buf = _StepBuffers(net, sum(_n_frames(n, net.frame_len) for n in sizes)) \
+        if buffers is None else buffers
+    grads = [None] * len(buf.partials)
+    squares = 0.0
+    for n, padded in _fill_blocks(net, batch, sizes, buf):
+        # the output becomes the residual in place: _backward does not read it
+        diff, acts = _forward(net, buf.rows[:n], [out[:n] for out in buf.outs])
+        diff -= buf.targets[:n]
+        for start, stop in padded:
+            # times 0.0, as by a 0/1 mask of the unpadded samples
+            diff.reshape(-1)[start:stop] *= 0.0
+        squares += np.sum(np.square(diff, out=buf.targets[:n]))
+        diff *= 2.0
+        diff /= total
+        _backward(net, acts, diff, buf, grads)
+    return float(squares / total), grads
 
 
 @dataclass
@@ -435,12 +472,13 @@ def train_velocity(net: VelocityNet, dataset, config: TrainConfig,
     The net's weights and biases are first cast to float32, the dtype its
     checkpoint stores, so training computes in float32 and leaves `net`
     float32; the enrollment projection stays as it is. One pass over the
-    items takes their enrollment embeddings and lengths, which size one set
-    of step operands for the fit, as many rows as the largest batch. Per
-    step a fresh tau ~ U[0,1] and path seed are drawn per item, and the
-    step reads its items one at a time: each item's path state is
-    re-sampled, and it and the closed-form target velocity are written into
-    the operands and dropped before the next item is read.
+    items takes their enrollment embeddings and lengths, which size the
+    fit's one set of step buffers: one block of `_BLOCK_ROWS` rows, or the
+    largest batch's rows if fewer. Per step a fresh tau ~ U[0,1] and path
+    seed are drawn per item, and the step reads its items one at a time as
+    it fills its blocks: each item's path state is re-sampled, and it and
+    the closed-form target velocity are written into the buffers and
+    dropped once the item's last frame is written.
     """
     pp = path_params or flowpath.PathParams()
     net.weights = [w.astype(np.float32) for w in net.weights]

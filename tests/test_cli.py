@@ -1344,3 +1344,23 @@ def test_ablate_independent_of_blas_threads(run_dir, tmp_path):
                         "--out", str(out)], env=env, check=True, timeout=600)
         outs.append((out / "ablation.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_training_independent_of_blas_threads(tmp_path):
+    # batches of 16 items of 0.5 s are 2,000 rows: one weight-gradient GEMM
+    # over them all gives other bytes under 2 BLAS threads than under 1
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed = 3\nn_train = 32\nduration_s = 0.5\n"
+                        "epochs = 5\n", "utf-8")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(_python_env(), OPENBLAS_NUM_THREADS=threads)
+        for command in ("train-vel", "train-mr"):
+            subprocess.run([sys.executable, "-m", "adflow", command,
+                            "--config", str(cfg_path), "--out", str(out)],
+                           env=env, check=True, timeout=600)
+        outs.append([(out / name).read_bytes() for name in (
+            "train_vel_loss.csv", "velnet.ckpt", "train_mr_loss.csv",
+            "mrnet.ckpt")])
+    assert outs[0] == outs[1]

@@ -11,7 +11,7 @@ from adflow.signal import DatasetConfig, Waveform, make_dataset, mix
 from adflow import signal, velnet
 from adflow.velnet import (AdamW, TrainConfig, VelocityNet, _build_rows,
                            clip_gradients, embed_enrollment, embed_tau,
-                           frame_signal, load_velnet, lr_for_epoch,
+                           load_velnet, lr_for_epoch,
                            otcfm_loss_and_grad, save_velnet, stats_features,
                            train_velocity, velocity_signal)
 
@@ -21,6 +21,15 @@ CFG = DatasetConfig(duration_s=0.125)
 def tiny_net(seed=0):
     return VelocityNet.create(seed, frame_len=8, hidden_dims=(10,),
                               tau_embed_dim=4, enroll_embed_dim=4)
+
+
+def frame_signal(x, frame_len):
+    """Non-overlapping frames of x, the tail zero-padded: the framing that
+    velnet's rows and targets use."""
+    x = np.asarray(x, dtype=np.float64)
+    padded = np.zeros(max(1, -(-x.size // frame_len)) * frame_len)
+    padded[:x.size] = x
+    return padded.reshape(-1, frame_len)
 
 
 def as_float32(net):
@@ -84,10 +93,13 @@ def test_stats_features_finite_on_zero_signal():
 # ---------------------------------------------------------------------------
 # Framing and forward pass
 
-def test_frame_signal_pads_tail():
-    frames = frame_signal(np.arange(10.0), 4)
-    assert frames.shape == (3, 4)
-    assert np.array_equal(frames[2], [8.0, 9.0, 0.0, 0.0])
+def test_build_rows_pads_tail():
+    net = VelocityNet(weights=[np.zeros((4, 12))], biases=[np.zeros(4)],
+                      enroll_proj=np.zeros((0, 258)), frame_len=4,
+                      tau_embed_dim=0, enroll_embed_dim=0)
+    rows = _build_rows(net, np.arange(10.0), np.zeros(0), 0.5)
+    assert rows.shape == (3, 12)
+    assert np.array_equal(rows[2], [4, 5, 6, 7, 8, 9, 0, 0, 0, 0, 0, 0])
 
 
 def test_build_rows_context_layout():
@@ -197,29 +209,37 @@ BATCH_LENGTHS = (1, velnet.DEFAULT_FRAME_LEN - 1, velnet.DEFAULT_FRAME_LEN,
 
 
 def _reference_loss_and_grad(net, batch):
-    """Per-item rows, targets and masks stacked with vstack, then an
-    out-of-place forward and backward: what the batch matrix replaces."""
-    rows, targets, masks = [], [], []
-    for x, e, tau, u in batch:
-        rows.append(_build_rows(net, x, e, tau))
-        targets.append(frame_signal(u, net.frame_len))
-        masks.append(frame_signal(np.ones(x.size), net.frame_len))
+    """Per-item rows, targets and masks stacked with vstack and cut into
+    blocks of 256 rows; each block takes an out-of-place forward and
+    backward on new arrays, and the loss and gradients are summed in block
+    order: what the step's reused blocks replace."""
+    dtype = net.weights[0].dtype
+    rows = np.vstack([_build_rows(net, x, e, tau) for x, e, tau, _ in batch])
+    targets = np.vstack([frame_signal(u, net.frame_len)
+                         for *_, u in batch]).astype(dtype)
+    masks = np.vstack([frame_signal(np.ones(x.size), net.frame_len)
+                       for x, *_ in batch]).astype(dtype)
     total = sum(x.size for x, *_ in batch)
     last = len(net.weights) - 1
-    acts = [np.vstack(rows)]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.tanh(z))
-    diff = (acts[-1] - np.vstack(targets)) * np.vstack(masks)
-    loss = float(np.sum(diff ** 2) / total)
-    dz = 2.0 * diff / total
-    grads = [None] * (2 * len(net.weights))
-    for i in range(last, -1, -1):
-        grads[2 * i] = dz.T @ acts[i]
-        grads[2 * i + 1] = dz.sum(axis=0)
-        if i > 0:
-            dz = (dz @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    return loss, grads
+    squares, grads = 0.0, None
+    for start in range(0, len(rows), 256):
+        block = slice(start, start + 256)
+        acts = [rows[block]]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = acts[-1] @ w.T + b
+            acts.append(z if i == last else np.tanh(z))
+        diff = (acts[-1] - targets[block]) * masks[block]
+        squares = squares + np.sum(diff ** 2)
+        dz = 2.0 * diff / total
+        block_grads = [None] * (2 * len(net.weights))
+        for i in range(last, -1, -1):
+            block_grads[2 * i] = dz.T @ acts[i]
+            block_grads[2 * i + 1] = dz.sum(axis=0)
+            if i > 0:
+                dz = (dz @ net.weights[i]) * (1.0 - acts[i] ** 2)
+        grads = block_grads if grads is None else \
+            [g + d for g, d in zip(grads, block_grads)]
+    return float(squares / total), grads
 
 
 def test_loss_and_grad_byte_identical_to_stacked_reference():
@@ -274,6 +294,49 @@ def test_loss_and_grad_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_loss_and_grad_sums_blocks_of_256_rows(dtype):
+    # 567 rows in three blocks: the 20,000-sample item's 313 frames take
+    # the last 3 rows of the first block, all of the second and 54 rows of
+    # the third. One set of buffers runs padded, unpadded and padded
+    # batches; new ones run each batch too.
+    net = VelocityNet.create(5)
+    if dtype == np.float32:
+        net = as_float32(net)
+    buffers = velnet._StepBuffers(net, 567)
+    padded, unpadded = (8001, 8000, 1, 63, 20000, 64), \
+        (8000, 8000, 64, 128, 20032, 64)
+    for k, lengths in enumerate((padded, unpadded, padded)):
+        batch = _batch(lengths, seed=k)
+        ref_loss, ref_grads = _reference_loss_and_grad(net, batch)
+        for buf in (buffers, None):
+            loss, grads = otcfm_loss_and_grad(net, batch, buffers=buf)
+            assert loss == ref_loss
+            assert all(g.dtype == dtype for g in grads)
+            assert [g.tobytes() for g in grads] == \
+                [g.tobytes() for g in ref_grads]
+
+
+def test_loss_and_grad_peak_memory_is_set_by_the_block():
+    # one float32 step on 16 items of 32,000 samples (8,000 rows) holds one
+    # 256-row block's operands and partial products, one item's float64
+    # x_tau and u_target, and four times the parameters, however long the
+    # items are
+    net = as_float32(VelocityNet.create(0))
+    batch = _batch([32000] * 16)
+    dims = net.layer_dims
+    params = sum(p.size for p in net.parameters())
+    block = 256 * (dims[0] + net.frame_len + sum(dims[1:]) + max(dims[1:-1]))
+    bound = 4 * (block + params) + 2 * 8 * 32000 + 4 * 4 * params
+    tracemalloc.start()
+    try:
+        otcfm_loss_and_grad(net, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_loss_and_grad_rejects_mismatched_lengths():
