@@ -8,7 +8,8 @@ Run configs are flat key=value text files; unknown keys are rejected and the
 effective config is echoed into the output directory. Every command is a pure
 function of (config, seed, inputs): re-runs emit byte-identical CSVs.
 
-Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 I/O error,
+1 any other adflow error.
 """
 
 from __future__ import annotations

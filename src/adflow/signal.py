@@ -298,13 +298,15 @@ class StoredDataset(Sequence):
 
     The file is the one `make_dataset` verified or wrote, held open, so
     replacing or removing the store's path later does not change what is
-    read (adflow only ever replaces a store, never writes into it). The
-    file is closed when the sequence is dropped.
+    read (adflow only ever replaces a store, never writes into it). Each
+    item is read at its offset with one positional read and no shared file
+    position, so threads may share the sequence. The file is closed when
+    the sequence is dropped.
     """
 
-    def __init__(self, f, offset: int, plans: list, cfg: DatasetConfig):
-        self._file, self._offset, self._plans, self._cfg = (f, offset, plans,
-                                                            cfg)
+    def __init__(self, path, f, offset: int, plans: list, cfg: DatasetConfig):
+        self._path, self._file, self._offset = path, f, offset
+        self._plans, self._cfg = plans, cfg
         weakref.finalize(self, f.close)
 
     def __len__(self) -> int:
@@ -313,19 +315,16 @@ class StoredDataset(Sequence):
     def __getitem__(self, i) -> MixtureItem:
         i = range(len(self._plans))[operator.index(i)]
         n = self._cfg.n_samples
-        self._file.seek(self._offset + 3 * 8 * n * i)
         # one array per waveform: one (3, n) block per item is above
         # glibc's mmap threshold at the default sizes, and its pages were
         # faulted in anew on every read (13,800 minor faults against 2,000
         # per train-vel call on 64 items of 0.5 s for 5 epochs)
-        waves = []
-        for _ in range(3):
-            arr = np.empty(n, "<f8")
-            if self._file.readinto(arr) != arr.nbytes:
-                raise FileFormatError(f"{self._file.name}: item {i} is cut "
-                                      "short")
-            waves.append(Waveform(arr, self._cfg.sample_rate_hz))
-        return _item(self._plans[i][0], *waves)
+        waves = [np.empty(n, "<f8") for _ in range(3)]
+        if (os.preadv(self._file.fileno(), waves, self._offset + 3 * 8 * n * i)
+                != 3 * 8 * n):
+            raise FileFormatError(f"{self._path}: item {i} is cut short")
+        return _item(self._plans[i][0], *(
+            Waveform(arr, self._cfg.sample_rate_hz) for arr in waves))
 
 
 def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
@@ -446,7 +445,7 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     f = _verified_store(store, prefix, plans, cfg)
     if f is None:
         f = _write_store(store, prefix, plans, cfg)
-    return StoredDataset(f, len(prefix) + 9, plans, cfg)
+    return StoredDataset(store, f, len(prefix) + 9, plans, cfg)
 
 
 # ---------------------------------------------------------------------------

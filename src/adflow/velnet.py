@@ -48,8 +48,6 @@ def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
         raise ParameterError("tau embedding dim must be a non-negative even int")
     if not 0.0 <= tau <= 1.0:
         raise ParameterError("tau must lie in [0, 1]")
-    if dim == 0:
-        return np.zeros(0)
     ang = 2 * np.pi * _tau_freqs(dim // 2) * tau
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
@@ -184,10 +182,10 @@ class _StepBuffers:
     """One training block's operands in the weights' dtype, as views into
     one array: rows, framed targets, each layer's output, one backward
     scratch of the widest hidden width and one partial product per
-    parameter. Holds a whole block, or all `n_rows` if fewer."""
+    parameter. Always one whole block, whatever the batch."""
 
-    def __init__(self, net: VelocityNet, n_rows: int):
-        n = min(n_rows, _BLOCK_ROWS)
+    def __init__(self, net: VelocityNet):
+        n = _BLOCK_ROWS
         shapes = [(n, net.input_dim), (n, net.frame_len),
                   (n * max(net.layer_dims[1:-1], default=0),),
                   *[(n, w.shape[0]) for w in net.weights],
@@ -307,8 +305,7 @@ def otcfm_loss_and_grad(net: VelocityNet, batch, buffers=None):
     """
     sizes = [len(entry[0]) for entry in batch]
     total = sum(sizes)
-    buf = _StepBuffers(net, sum(_n_frames(n, net.frame_len) for n in sizes)) \
-        if buffers is None else buffers
+    buf = _StepBuffers(net) if buffers is None else buffers
     grads = [None] * len(buf.partials)
     squares = 0.0
     for n, padded in _fill_blocks(net, batch, sizes, buf):
@@ -472,21 +469,20 @@ def train_velocity(net: VelocityNet, dataset, config: TrainConfig,
     The net's weights and biases are first cast to float32, the dtype its
     checkpoint stores, so training computes in float32 and leaves `net`
     float32; the enrollment projection stays as it is. One pass over the
-    items takes their enrollment embeddings and lengths, which size the
-    fit's one set of step buffers: one block of `_BLOCK_ROWS` rows, or the
-    largest batch's rows if fewer. Per step a fresh tau ~ U[0,1] and path
-    seed are drawn per item, and the step reads its items one at a time as
-    it fills its blocks: each item's path state is re-sampled, and it and
-    the closed-form target velocity are written into the buffers and
-    dropped once the item's last frame is written.
+    items takes their enrollment embeddings and lengths, and every step
+    uses the fit's one set of step buffers, one block of `_BLOCK_ROWS`
+    rows. Per step a fresh tau ~ U[0,1] and path seed are drawn per item,
+    and the step reads its items one at a time as it fills its blocks: each
+    item's path state is re-sampled, and it and the closed-form target
+    velocity are written into the buffers and dropped once the item's last
+    frame is written.
     """
     pp = path_params or flowpath.PathParams()
     net.weights = [w.astype(np.float32) for w in net.weights]
     net.biases = [b.astype(np.float32) for b in net.biases]
     embedded = [(embed_enrollment(item.e, net), len(item.b))
                 for item in dataset]
-    counts = sorted(_n_frames(n, net.frame_len) for _, n in embedded)
-    buffers = _StepBuffers(net, sum(counts[-config.batch_size:]))
+    buffers = _StepBuffers(net)
 
     def loss_and_grad(idx, rng):
         batch = [_PathEntry(dataset, j, embedded[j], float(rng.uniform()),

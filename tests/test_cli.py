@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import io
 import os
 import re
 import shutil
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import wave
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -138,6 +140,8 @@ BAD_CONFIG_VALUES = {
     "duration_zero": ("gen-data", ["--set", "duration_s=0"]),
     "duration_negative": ("gen-data", ["--set", "duration_s=-1"]),
     "duration_under_one_sample": ("gen-data", ["--set", "duration_s=1e-9"]),
+    "set_without_equals": ("gen-data", ["--set", "epochs"]),
+    "set_unknown_key": ("gen-data", ["--set", "nosuchkey=1"]),
     "n_eval_zero": ("gen-data", ["--set", "n_eval=0"]),
     "n_train_zero": ("train-vel", ["--set", "n_train=0"]),
     "gen_data_epochs_zero": ("gen-data", ["--set", "epochs=0"]),
@@ -311,6 +315,21 @@ def test_exit_code_nonfinite_checkpoint(run_dir, tmp_path, capsys, name):
     assert main(["ablate", "--config", str(run_dir / "run.cfg"),
                  "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
     assert "non-finite values" in capsys.readouterr().err
+
+
+def test_exit_code_transposed_first_tensor(run_dir, tmp_path, capsys):
+    # the first weight's two dims swapped: the bytes still fit the file
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    path = ck / "velnet.ckpt"
+    data = bytearray(path.read_bytes())
+    start = data.index(b"\n") + 1 + 8
+    rows, cols = np.frombuffer(data[start:start + 8], "<u4")
+    data[start:start + 8] = np.array([cols, rows], "<u4").tobytes()
+    path.write_bytes(bytes(data))
+    assert main(["ablate", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 4
+    assert f"tensor shape ({cols}, {rows}) != expected ({rows}, {cols})" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ablate", "nfe-sweep"])
@@ -890,6 +909,30 @@ def test_extract_end_to_end(run_dir, tmp_path):
     assert result["lsd_db"] == metrics.lsd(est2, ref, cfg.n_fft, cfg.hop)
 
 
+@pytest.mark.parametrize("dims", [(0, 16), (16, 0), (0, 0)],
+                         ids=["enroll_0", "tau_0", "both_0"])
+def test_zero_width_embeddings_run(run_dir, tmp_path, capsys, dims):
+    # a velnet without an enrollment or tau embedding, or without both, is
+    # a legal checkpoint: ablate and extract run it
+    enroll_dim, tau_dim = dims
+    cfg = _cfg(run_dir)
+    data = Path(cfg.output_dir) / "dataset"
+    ck = _copy_checkpoints(run_dir, tmp_path / "ck")
+    velnet.save_velnet(ck / "velnet.ckpt", velnet.VelocityNet.create(
+        0, enroll_embed_dim=enroll_dim, tau_embed_dim=tau_dim))
+    assert main(["ablate", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck), "--out", str(tmp_path / "o")]) == 0
+    assert main(["extract", "--config", str(run_dir / "run.cfg"),
+                 "--checkpoints", str(ck),
+                 "--in", str(data / "item_0000_x.wav"),
+                 "--enroll", str(data / "item_0000_e.wav"),
+                 "--reference", str(data / "item_0000_s1.wav"),
+                 "--out-wav", str(tmp_path / "est.wav")]) == 0
+    assert "si_sdr_db=" in capsys.readouterr().out
+    assert len(read_wav(tmp_path / "est.wav")) == \
+        len(read_wav(data / "item_0000_x.wav"))
+
+
 def _python_env() -> dict:
     """The environment for a subprocess that imports this adflow."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1041,12 +1084,27 @@ def _set_fmt_chunk_size(data: bytes) -> bytes:
     return data[:16] + (2 ** 31).to_bytes(4, "little") + data[20:]
 
 
+def _wav_bytes(channels: int, width: int, n_frames: int) -> bytes:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as out:
+        out.setnchannels(channels)
+        out.setsampwidth(width)
+        out.setframerate(16000)
+        out.writeframes(bytes(channels * width * n_frames))
+    return buf.getvalue()
+
+
+# case: (makes the bad file from a good one's bytes, in stderr after its name)
 MALFORMED_WAVS = {
-    "odd_bytes": lambda data: data[:-1],
-    "header_only": lambda data: data[:30],
-    "bad_chunk": _set_fmt_chunk_size,
+    "odd_bytes": (lambda data: data[:-1], "truncated WAV data"),
+    "header_only": (lambda data: data[:30], "bad WAV file"),
+    "bad_chunk": (_set_fmt_chunk_size, "bad WAV file"),
     # the framerate field of the canonical 44-byte header
-    "zero_rate": lambda data: data[:24] + bytes(4) + data[28:],
+    "zero_rate": (lambda data: data[:24] + bytes(4) + data[28:],
+                  "WAV declares 0 Hz"),
+    "stereo": (lambda data: _wav_bytes(2, 2, 2000), "expected mono WAV"),
+    "8_bit": (lambda data: _wav_bytes(1, 1, 2000), "expected 16-bit PCM"),
+    "no_samples": (lambda data: _wav_bytes(1, 2, 0), "empty WAV file"),
 }
 
 
@@ -1054,14 +1112,14 @@ MALFORMED_WAVS = {
 def test_extract_malformed_wav(run_dir, tmp_path, capsys, case):
     cfg = _cfg(run_dir)
     data = Path(cfg.output_dir) / "dataset"
+    edit, message = MALFORMED_WAVS[case]
     bad = tmp_path / "x.wav"
-    bad.write_bytes(MALFORMED_WAVS[case]((data / "item_0000_x.wav")
-                                         .read_bytes()))
+    bad.write_bytes(edit((data / "item_0000_x.wav").read_bytes()))
     assert main(["extract", "--config", str(run_dir / "run.cfg"),
                  "--checkpoints", str(cfg.output_dir), "--in", str(bad),
                  "--enroll", str(data / "item_0000_e.wav"),
                  "--out-wav", str(tmp_path / "o.wav")]) == 4
-    assert "x.wav" in capsys.readouterr().err
+    assert f"x.wav: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
 
 
@@ -1172,7 +1230,7 @@ def test_extract_oversized_work_exits_before_allocating(
 
 def _malformed(case):
     return lambda src, dest: dest.write_bytes(
-        MALFORMED_WAVS[case](src.read_bytes()))
+        MALFORMED_WAVS[case][0](src.read_bytes()))
 
 
 def _rewritten(edit):

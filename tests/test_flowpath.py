@@ -64,6 +64,12 @@ def test_path_sigma_values():
     assert path_sigma(PathParams(0.01, 0.5), 1.0) == 0.01
 
 
+@pytest.mark.parametrize("tau", [-0.1, 1.5])
+def test_path_sigma_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ParameterError, match="tau must lie"):
+        path_sigma(PathParams(0.01, 0.5), tau)
+
+
 # ---------------------------------------------------------------------------
 # sample_path_state
 
@@ -139,6 +145,12 @@ def test_analytic_state_zero_noise_is_mean():
     b, s1 = _pair(8)
     st_ = analytic_state(b, s1, np.zeros(b.size), 0.3, PathParams(0.01, 0.5))
     assert np.array_equal(st_.x, path_mean(b, s1, 0.3))
+
+
+def test_analytic_state_rejects_noise_of_other_shape():
+    b, s1 = _pair(9)
+    with pytest.raises(ShapeError, match="noise shape"):
+        analytic_state(b, s1, np.zeros(b.size + 1), 0.3, PathParams(0.01, 0.5))
 
 
 def _fd_rel_err(b, s1, z, tau, params, h=1e-4):

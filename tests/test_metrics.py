@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,14 @@ def test_si_sdr_orthogonal_hits_negative_cap():
     s = np.sin(2 * np.pi * 100 * t)   # 10 full periods
     c = np.cos(2 * np.pi * 100 * t)
     assert si_sdr(c, s) == -SI_SDR_CAP_DB
+
+
+def test_si_sdr_exactly_orthogonal_is_negative_cap():
+    # the projection is exactly zero: the cap, not a log of zero
+    est, ref = np.array([0.0, 1.0, 0.0, 2.0]), np.array([3.0, 0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert si_sdr(est, ref) == -SI_SDR_CAP_DB
 
 
 def test_si_sdr_scale_invariance_below_cap():

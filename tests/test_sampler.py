@@ -33,6 +33,8 @@ def test_schedule_validation():
         Schedule(taus=np.array([0.5, 0.9]), nfe=1)
     with pytest.raises(ParameterError):
         Schedule(taus=np.array([1.0]), nfe=0)
+    with pytest.raises(ParameterError, match="nfe \\+ 1 points"):
+        Schedule(taus=np.array([0.5, 1.0]), nfe=2)
 
 
 def test_policy_validation():

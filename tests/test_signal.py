@@ -63,6 +63,10 @@ def test_identity_validation():
         SpeakerIdentity(200.0, (0.7, 0.7), 5.0, 0.01, 1)
     with pytest.raises(ParameterError):
         SpeakerIdentity(200.0, (0.5, 0.5), 5.0, 0.2, 1)
+    with pytest.raises(ParameterError, match="non-negative"):
+        SpeakerIdentity(200.0, (1.5, -0.5), 5.0, 0.01, 1)
+    with pytest.raises(ParameterError, match="vibrato rate"):
+        SpeakerIdentity(200.0, (0.5, 0.5), -1.0, 0.01, 1)
 
 
 def test_random_identities_differ():
@@ -93,6 +97,16 @@ def test_synth_source_distinct_identities_decorrelate():
     assert abs(rho) < 0.5
 
 
+def test_synth_source_without_vibrato():
+    # rate 0 takes the plain phase, which a depth of 0 gives as well
+    still = SpeakerIdentity(200.0, (0.5, 0.5), 0.0, 0.01, 1)
+    flat = SpeakerIdentity(200.0, (0.5, 0.5), 5.0, 0.0, 1)
+    w = synth_source(still, 0.25, SR, seed=3)
+    assert abs(_rms(w) - 1.0) < 1e-9
+    assert np.array_equal(w.samples, synth_source(flat, 0.25, SR,
+                                                  seed=3).samples)
+
+
 def test_synth_source_rejects_bad_duration():
     with pytest.raises(ParameterError):
         synth_source(ident(0), 0.0, SR)
@@ -106,6 +120,18 @@ def test_synth_source_rejects_bad_duration():
 def _spec(noise_w, interferers, tau=0.5):
     return MixtureSpec(target=ident(99), interferers=interferers,
                        noise_weight=noise_w, tau=tau)
+
+
+def test_mixture_spec_rejects_negative_weights():
+    with pytest.raises(ParameterError, match="non-negative"):
+        _spec(-1.0, ((ident(5), 1.0),))
+    with pytest.raises(ParameterError, match="non-negative"):
+        _spec(1.0, ((ident(5), -0.5),))
+
+
+def test_background_rejects_bad_duration():
+    with pytest.raises(ParameterError, match="duration"):
+        synth_background(_spec(1.0, ()), 0.0, SR)
 
 
 def test_background_noise_only_unit_rms():
@@ -384,6 +410,42 @@ def test_stored_items_come_from_the_file_returned(tmp_path, first, change):
     _assert_same_items(items, plain)
 
 
+def test_stored_items_read_from_threads_equal_sequential(tmp_path):
+    # threads that shared one file position would read one another's items
+    items = make_dataset(16, "uniform", DatasetConfig(duration_s=0.25),
+                         seed=5, store=tmp_path / "set.adfd")
+
+    def read(i):
+        item = items[i % len(items)]
+        return [w.samples.tobytes() for w in (item.s1, item.e, item.b)]
+
+    sequential = [read(i) for i in range(len(items))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(read, range(4 * 200), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == sequential * 50
+
+
+@pytest.mark.parametrize("first", ["miss", "hit"])
+def test_cut_store_names_its_path(tmp_path, first):
+    # a freshly written store is read from its temp file's inode, but the
+    # error names the store, not the temp file that no longer exists
+    store = tmp_path / "set.adfd"
+    if first == "hit":
+        make_dataset(3, "uniform", CFG, seed=5, store=store)
+    items = make_dataset(3, "uniform", CFG, seed=5, store=store)
+    os.truncate(store, store.stat().st_size - 8)
+    items[1]
+    with pytest.raises(FileFormatError, match="item 2 is cut short") as exc:
+        items[2]
+    assert str(exc.value).startswith(f"{store}:")
+    assert ".tmp" not in str(exc.value)
+
+
 def test_dropped_dataset_closes_its_file(tmp_path, monkeypatch):
     opened = []
 
@@ -426,6 +488,17 @@ def test_stft_roundtrip_interior():
         # periodic Hann is zero at sample 0)
         err = np.max(np.abs(rec.samples - w.samples)[n_fft:-n_fft])
         assert err < 1e-4, (n_fft, hop, err)
+
+
+def test_istft_pads_past_its_frames():
+    spec = stft(synth_source(ident(3), 0.25, SR, seed=1), 256, 64)
+    total = (spec.frames.shape[1] - 1) * 64 + 256
+    covered = istft(spec, total).samples
+    longer = istft(spec, total + 100).samples
+    assert np.array_equal(longer[:total], covered)
+    assert np.array_equal(longer[total:], np.zeros(100))
+    with pytest.raises(ParameterError, match="out_len"):
+        istft(spec, 0)
 
 
 def test_stft_sine_energy_concentrated():
@@ -606,6 +679,20 @@ def test_tensor_dims_exceed_file(tmp_path, dims, data):
     path = tmp_path / "t.adft"
     path.write_bytes(b"ADFT" + struct.pack("<3I", 2, *dims) + data)
     with pytest.raises(FileFormatError, match="bytes"):
+        read_tensor(path)
+
+
+def test_tensor_rank_past_cap(tmp_path):
+    path = tmp_path / "t.adft"
+    path.write_bytes(b"ADFT" + struct.pack("<10I", 9, *[1] * 9) + b"\0" * 4)
+    with pytest.raises(FileFormatError, match="rank 9"):
+        read_tensor(path)
+
+
+def test_tensor_cut_inside_its_dims(tmp_path):
+    path = tmp_path / "t.adft"
+    path.write_bytes(b"ADFT" + struct.pack("<2I", 2, 3))
+    with pytest.raises(FileFormatError, match="truncated"):
         read_tensor(path)
 
 

@@ -58,6 +58,17 @@ def test_embed_tau_rejects_odd_dim():
         embed_tau(0.5, 15)
 
 
+@pytest.mark.parametrize("tau", [-0.1, 1.5])
+def test_embed_tau_rejects_tau_outside_unit_interval(tau):
+    with pytest.raises(ParameterError, match="tau must lie"):
+        embed_tau(tau, 16)
+
+
+def test_embed_tau_zero_width():
+    v = embed_tau(0.3, 0)
+    assert v.shape == (0,) and v.dtype == np.float64
+
+
 def test_enrollment_embedding_identity_separation():
     # Two draws of the same identity should be closer (cosine) than draws
     # from different identities, on average.
@@ -305,7 +316,7 @@ def test_loss_and_grad_sums_blocks_of_256_rows(dtype):
     net = VelocityNet.create(5)
     if dtype == np.float32:
         net = as_float32(net)
-    buffers = velnet._StepBuffers(net, 567)
+    buffers = velnet._StepBuffers(net)
     padded, unpadded = (8001, 8000, 1, 63, 20000, 64), \
         (8000, 8000, 64, 128, 20032, 64)
     for k, lengths in enumerate((padded, unpadded, padded)):
@@ -350,7 +361,7 @@ def test_reused_operands_give_the_bytes_of_new_ones():
     # a stale padded tail in the reused targets would change the bytes
     net = as_float32(VelocityNet.create(7))
     unpadded, padded = (8000, 64, 128), (8001, 63, 1, 8002)
-    buffers = velnet._StepBuffers(net, 125 + 1 + 1 + 1 + 126)
+    buffers = velnet._StepBuffers(net)
     for k, lengths in enumerate((unpadded, padded, unpadded, padded)):
         batch = _batch(lengths, seed=k)
         loss, grads = otcfm_loss_and_grad(net, batch, buffers=buffers)
