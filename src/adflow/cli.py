@@ -387,8 +387,6 @@ def _write_svg(path: Path, xs: list, series: dict, x_label: str) -> None:
 
 def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     """Sweep max_nfe in estimated-tau mode; CSV plus an SVG line chart."""
-    if field not in ("net", "oracle"):
-        raise ConfigError(f"unknown field {field!r}")
     out = _prepare_out(cfg)
     policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
                 for n in NFE_SWEEP_VALUES]

@@ -664,60 +664,34 @@ def write_tensor_stream(f, arr: np.ndarray) -> None:
     f.write(arr.tobytes(order="C"))
 
 
-def _read_exact(f, n: int):
-    """The next n bytes of `f`."""
-    data = f.read(n)
-    if len(data) != n:
-        raise FileFormatError(f"truncated tensor: expected {n} bytes, "
-                              f"got {len(data)}")
-    return data
-
-
-class _ViewReader:
-    """A stream over a bytes object whose reads return views of it, not
-    copies, so arrays `read_tensor_stream` builds from it share its bytes."""
-
-    def __init__(self, data: bytes):
-        self._view, self._pos = memoryview(data), 0
-
-    def read(self, n: int) -> memoryview:
-        out = self._view[self._pos:self._pos + n]
-        self._pos += len(out)
-        return out
-
-    def tell(self) -> int:
-        return self._pos
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        self._pos = offset + (len(self._view) if whence == 2 else 0)
-        return self._pos
-
-
-def read_tensor_stream(f, shape: tuple | None = None) -> np.ndarray:
-    """Read one tensor as a read-only float32 array, the dtype it is stored
-    in, over the bytes `f.read` returned; its stored dims must fit the
-    bytes left in `f` and, with `shape`, equal it, and its values must be
-    finite."""
-    magic = bytes(f.read(4))
+def _parse_tensor(buf, pos: int = 0, shape: tuple | None = None) -> tuple:
+    """(tensor, end): the tensor stored at byte `pos` of the bytes-like
+    `buf` as a read-only float32 view of its bytes, the dtype it is stored
+    in, and the offset just past it. Its stored dims must fit the bytes left
+    in `buf` and, with `shape`, equal it, and its values must be finite."""
+    magic = bytes(buf[pos:pos + 4])
     if magic != _TENSOR_MAGIC:
         raise FileFormatError(f"bad tensor magic: {magic!r}")
-    (rank,) = struct.unpack("<I", _read_exact(f, 4))
-    if rank > _MAX_TENSOR_RANK:
-        raise FileFormatError(f"tensor rank {rank} exceeds {_MAX_TENSOR_RANK}")
-    dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
+    try:
+        (rank,) = struct.unpack_from("<I", buf, pos + 4)
+        if rank > _MAX_TENSOR_RANK:
+            raise FileFormatError(f"tensor rank {rank} exceeds "
+                                  f"{_MAX_TENSOR_RANK}")
+        dims = struct.unpack_from(f"<{rank}I", buf, pos + 8)
+    except struct.error as exc:
+        raise FileFormatError(f"truncated tensor: {exc}") from exc
     if shape is not None and dims != tuple(shape):
         raise FileFormatError(f"tensor shape {dims} != expected {tuple(shape)}")
-    count = math.prod(dims)
-    pos = f.tell()
-    left = f.seek(0, 2) - pos
-    f.seek(pos)
+    start, count = pos + 8 + 4 * rank, math.prod(dims)
+    left = len(buf) - start
     if 4 * count > left:
         raise FileFormatError(f"tensor dims {dims} need {4 * count} bytes, "
                               f"but only {left} are left")
-    data = np.frombuffer(_read_exact(f, 4 * count), "<f4").reshape(dims)
+    data = np.frombuffer(buf, "<f4", count, start).reshape(dims)
+    data.flags.writeable = False
     if not np.all(np.isfinite(data)):
         raise FileFormatError(f"tensor of dims {dims} holds non-finite values")
-    return data
+    return data, start + 4 * count
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -726,8 +700,14 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """The one tensor of a `write_tensor` file, read-only."""
     with open(path, "rb") as f:
-        return read_tensor_stream(f)
+        data = f.read()
+    tensor, end = _parse_tensor(data)
+    if end != len(data):
+        raise FileFormatError(f"{path}: {len(data) - end} bytes follow "
+                              f"its tensor")
+    return tensor
 
 
 def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
@@ -790,10 +770,10 @@ def read_checkpoint(path, magic: str, shapes, dtype="<f4") -> tuple:
     if kept is None or kept[:3] != (line, payload, dtype):
         # a file cut after the size check fails here as a truncated tensor;
         # float32 tensors are views of the payload, others their own arrays
-        stream = _ViewReader(payload)
-        tensors = [np.asarray(read_tensor_stream(stream, shape), dtype)
-                   for shape in expected]
-        for t in tensors:
-            t.flags.writeable = False
+        tensors, pos = [], 0
+        for shape in expected:
+            tensor, pos = _parse_tensor(payload, pos, shape)
+            tensors.append(np.asarray(tensor, dtype))
+            tensors[-1].flags.writeable = False
         kept = _kept_checkpoints[magic] = (line, payload, dtype, tensors)
     return meta, list(kept[3])

@@ -118,8 +118,6 @@ def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
 
     `e` is a Waveform or its `SpectralRecord`.
     """
-    if net.enroll_embed_dim == 0:
-        return np.zeros(0)
     f = stats_features(e, net.feat_n_fft, net.feat_hop)
     return net.enroll_proj @ ((f - f.mean()) / (f.std() + 1e-8))
 

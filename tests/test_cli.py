@@ -1070,7 +1070,8 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["no-such-command"],
     ["extract", "--enroll", "e.wav", "--out-wav", "o.wav"],
-], ids=["unknown_command", "extract_without_in"])
+    ["nfe-sweep", "--field", "bogus"],
+], ids=["unknown_command", "extract_without_in", "nfe_sweep_bad_field"])
 def test_argparse_error_exits_2_on_every_call(argv, capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 import gc
+import io
 import os
+import re
 import struct
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
 from adflow import signal
@@ -19,7 +22,7 @@ from adflow.signal import (DatasetConfig, MixtureSpec, SpeakerIdentity,
                            Waveform, hann_window, istft, make_dataset, mix,
                            random_identity, read_tensor, read_wav, stft,
                            synth_background, synth_source, write_tensor,
-                           write_wav)
+                           write_tensor_stream, write_wav)
 
 SR = 16000
 
@@ -701,3 +704,86 @@ def test_tensor_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(FileFormatError):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("extra", [b"\0", None], ids=["trailing_byte",
+                                                      "written_twice"])
+def test_tensor_file_holds_one_tensor(tmp_path, extra):
+    path = tmp_path / "t.adft"
+    write_tensor(path, np.ones((2, 3), np.float32))
+    data = path.read_bytes()
+    path.write_bytes(data + (data if extra is None else extra))
+    extra_bytes = len(data) if extra is None else 1
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}: {extra_bytes} bytes follow")):
+        read_tensor(path)
+
+
+# Properties of the one tensor parser, derandomized like test_fuzz.py's.
+PARSE = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=60)
+FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _tensors(min_dims=0, max_dims=8, min_side=0):
+    return arrays(np.float32, array_shapes(min_dims=min_dims,
+                                           max_dims=max_dims,
+                                           min_side=min_side, max_side=3),
+                  elements=FINITE_F32)
+
+
+def _stream(*arrs) -> bytes:
+    f = io.BytesIO()
+    for arr in arrs:
+        write_tensor_stream(f, arr)
+    return f.getvalue()
+
+
+@PARSE
+@given(_tensors(), _tensors())
+def test_parse_tensor_round_trips(first, arr):
+    # alone, and at the offset just past another tensor; a bytearray must
+    # give a read-only view too. The writer stores a 0-d array as shape (1,).
+    arr = np.ascontiguousarray(arr)
+    lone, both = _stream(arr), _stream(first, arr)
+    _, pos = signal._parse_tensor(both)
+    assert pos == len(both) - len(lone)
+    for buf, at in ((lone, 0), (bytearray(lone), 0), (both, pos)):
+        back, end = signal._parse_tensor(buf, at, arr.shape)
+        assert end == len(buf)
+        assert back.shape == arr.shape and back.dtype == np.float32
+        assert back.tobytes() == arr.tobytes()
+        assert not back.flags.writeable
+        assert back.size == 0 or np.shares_memory(
+            back, np.frombuffer(buf, np.uint8))
+    with pytest.raises(FileFormatError, match="shape"):
+        signal._parse_tensor(_stream(arr), 0, arr.shape + (1,))
+
+
+def test_parse_rank_0_tensor():
+    back, end = signal._parse_tensor(b"ADFT" + struct.pack("<If", 0, 1.5))
+    assert back.shape == () and back == 1.5 and end == 12
+
+
+@PARSE
+@given(_tensors(max_dims=3), _tensors(max_dims=3))
+def test_parse_tensor_prefix_is_file_format_error(first, second):
+    buf = _stream(first, second)
+    for n in range(len(buf)):
+        with pytest.raises(FileFormatError):
+            _, pos = signal._parse_tensor(buf[:n])
+            signal._parse_tensor(buf[:n], pos)
+
+
+@PARSE
+@given(_tensors(min_dims=1, min_side=1), st.data())
+def test_parse_tensor_dims_past_end(arr, data):
+    # one stored dim raised, so the dims ask for more bytes than are left
+    first = np.zeros(2, np.float32)
+    buf = bytearray(_stream(first, arr))
+    i = data.draw(st.integers(0, arr.ndim - 1))
+    dim = data.draw(st.integers(arr.shape[i] + 1, 2 ** 32 - 1))
+    struct.pack_into("<I", buf, len(_stream(first)) + 8 + 4 * i, dim)
+    _, pos = signal._parse_tensor(buf)
+    with pytest.raises(FileFormatError, match="bytes, but only"):
+        signal._parse_tensor(buf, pos)

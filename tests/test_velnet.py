@@ -69,6 +69,17 @@ def test_embed_tau_zero_width():
     assert v.shape == (0,) and v.dtype == np.float64
 
 
+def test_embed_enrollment_zero_width(tmp_path):
+    # the (0, feat_dim) projection gives the empty embedding, for a new net
+    # and for one loaded with its float32 tensors
+    net = VelocityNet.create(0, enroll_embed_dim=0)
+    save_velnet(tmp_path / "v.ckpt", net)
+    e = make_dataset(1, 0.125, CFG, seed=1)[0].e
+    for n in (net, load_velnet(tmp_path / "v.ckpt")):
+        v = embed_enrollment(e, n)
+        assert v.shape == (0,) and v.dtype == np.float64
+
+
 def test_enrollment_embedding_identity_separation():
     # Two draws of the same identity should be closer (cosine) than draws
     # from different identities, on average.
@@ -696,9 +707,9 @@ def test_byte_equal_checkpoints_parsed_once(tmp_path, monkeypatch):
     for path in paths:
         save_velnet(path, net)
     monkeypatch.setattr(signal, "_kept_checkpoints", {})
-    parsed, real = [], signal.read_tensor_stream
-    monkeypatch.setattr(signal, "read_tensor_stream", lambda f, shape=None:
-                        parsed.append(shape) or real(f, shape))
+    parsed, real = [], signal._parse_tensor
+    monkeypatch.setattr(signal, "_parse_tensor", lambda buf, pos=0, shape=None:
+                        parsed.append(shape) or real(buf, pos, shape))
     nets = [load_velnet(path) for path in paths]
     assert len(parsed) == len(net.parameters()) + 1  # and the projection
     a, b, c = nets
