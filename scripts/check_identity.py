@@ -40,7 +40,6 @@ Usage: python3 scripts/check_identity.py REV
 import csv
 import math
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -49,6 +48,10 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from adflow.errors import FileFormatError  # noqa: E402
+from adflow.signal import _parse_tensor  # noqa: E402
 
 CONFIG = """\
 seed = 3
@@ -178,14 +181,8 @@ def ckpt_tensors(data: bytes) -> list:
     pos = data.index(b"\n") + 1
     tensors = []
     while pos < len(data):
-        if data[pos:pos + 4] != b"ADFT":
-            raise ValueError(f"no tensor magic at byte {pos}")
-        (rank,) = struct.unpack_from("<I", data, pos + 4)
-        dims = struct.unpack_from(f"<{rank}I", data, pos + 8)
-        pos += 8 + 4 * rank
-        count = math.prod(dims)
-        tensors.append(np.frombuffer(data, "<f4", count, pos).reshape(dims))
-        pos += 4 * count
+        tensor, pos = _parse_tensor(data, pos)
+        tensors.append(tensor)
     return tensors
 
 
@@ -197,15 +194,13 @@ def ckpt_difference(new: bytes, old: bytes) -> str:
         return "headers differ"
     try:
         a, b = ckpt_tensors(new), ckpt_tensors(old)
-    except (ValueError, struct.error) as exc:
+    except (ValueError, FileFormatError) as exc:
         return f"tensors unreadable ({exc})"
     if [t.shape for t in a] != [t.shape for t in b]:
         return "tensor shapes differ"
     worst, index = 0.0, None
     for i, (x, y) in enumerate(zip(a, b)):
         x, y = x.astype(np.float64), y.astype(np.float64)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            return f"non-finite value in tensor {i}"
         differ = x != y
         if np.any(differ):
             rel = np.max(np.abs(x - y)[differ]

@@ -246,14 +246,17 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class MixtureItem:
-    """One supervised item: enrollment, target, background, tau, and the
-    mixture x, which is mixed from s1 and b on every read and never kept."""
+    """One supervised item: s1, e, b and the spec, which owns tau; the
+    mixture x is mixed from s1 and b on every read and never kept."""
 
-    e: Waveform
     s1: Waveform
+    e: Waveform
     b: Waveform
-    tau: float
     spec: MixtureSpec
+
+    @property
+    def tau(self) -> float:
+        return self.spec.tau
 
     @property
     def x(self) -> Waveform:
@@ -287,11 +290,6 @@ def _synth_item(plan, cfg: DatasetConfig) -> tuple:
                              bg_seed))
 
 
-def _item(spec: MixtureSpec, s1: Waveform, e: Waveform,
-          b: Waveform) -> MixtureItem:
-    return MixtureItem(e=e, s1=s1, b=b, tau=spec.tau, spec=spec)
-
-
 class StoredDataset(Sequence):
     """The items of a dataset store, each read from its file when it is
     accessed; the sequence keeps only the plans and the open file.
@@ -323,8 +321,8 @@ class StoredDataset(Sequence):
         if (os.preadv(self._file.fileno(), waves, self._offset + 3 * 8 * n * i)
                 != 3 * 8 * n):
             raise FileFormatError(f"{self._path}: item {i} is cut short")
-        return _item(self._plans[i][0], *(
-            Waveform(arr, self._cfg.sample_rate_hz) for arr in waves))
+        return MixtureItem(*(Waveform(arr, self._cfg.sample_rate_hz)
+                             for arr in waves), self._plans[i][0])
 
 
 def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
@@ -436,7 +434,7 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     rng = np.random.default_rng(seed)
     plans = [_draw_item(rng, fixed_tau) for _ in range(n_items)]
     if store is None:
-        return [_item(plan[0], *_synth_item(plan, cfg)) for plan in plans]
+        return [MixtureItem(*_synth_item(plan, cfg), plan[0]) for plan in plans]
     sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
     prefix = (f"{_STORE_MAGIC} n_items={n_items} tau_sampler={sampler} "
               f"seed={seed} duration_s={float(cfg.duration_s)!r} "
@@ -657,7 +655,7 @@ def read_wav(path) -> Waveform:
 
 
 def write_tensor_stream(f, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype="<f4"))
+    arr = np.asarray(arr, dtype="<f4")
     f.write(_TENSOR_MAGIC)
     f.write(struct.pack("<I", arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import errno
 import io
+import math
 import os
 import re
 import shutil
@@ -727,6 +728,20 @@ def test_nfe_sweep_outputs(run_dir):
         [str(n) for n in cli.NFE_SWEEP_VALUES]
     # the SVG must be well-formed XML
     ET.fromstring((out / "nfe_sweep.svg").read_text("utf-8"))
+
+
+def test_svg_of_constant_series(tmp_path):
+    # every value equal: the y scale must not divide by a zero range
+    path = tmp_path / "flat.svg"
+    cli._write_svg(path, list(cli.NFE_SWEEP_VALUES),
+                   {"a": [2.5] * 5, "b": [2.5] * 5}, "max NFE")
+    lines = ET.fromstring(path.read_text("utf-8")).findall(
+        "{http://www.w3.org/2000/svg}polyline")
+    assert len(lines) == 2
+    for line in lines:
+        coords = [float(c) for pt in line.get("points").split()
+                  for c in pt.split(",")]
+        assert len(coords) == 10 and all(map(math.isfinite, coords))
 
 
 def test_nfe_sweep_oracle_field_flat(run_dir, tmp_path):
