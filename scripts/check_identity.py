@@ -25,14 +25,17 @@ one, then the extract above into `reuse.wav`. The second call must print
 what the extract subprocess printed and write `reuse.wav` byte-identical
 to its `extract.wav`, so state left over from an earlier call in one
 process shows as `REUSE DIFFERS`. A file written on one side only is
-reported as `ONLY IN <side>: path`. For each CSV that differs, it
-prints the largest relative difference over its numeric cells and the
-column it occurs in, and for each checkpoint that differs, the largest
-relative difference over the values of its tensors and the index of the
-tensor, so an intended numeric change shows its size. It also prints the
+reported as `ONLY IN <side>: path`. Every process runs with warnings as
+errors (`-W error`), and a temp file `.<name>.<pid>.tmp` that an output's
+atomic write leaves on either side is reported as `TEMP FILE LEFT in
+<side>: path`. For each CSV that differs, it prints the largest relative
+difference over its numeric cells and the column it occurs in, and for
+each checkpoint that differs, the largest relative difference over the
+values of its tensors and the index of the tensor, so an intended numeric
+change shows its size. It also prints the
 line count of `src/adflow/*.py` (as `wc -l` counts it) at REV and in the
 working tree. Exits 0 when all match, 1 on any difference, a one-sided
-file or a reuse difference included.
+file, a reuse difference or a temp file left included.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -120,8 +123,9 @@ def run_commands(src: Path, work: Path) -> tuple:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
 
     def run(argv: list, what: str) -> str:
-        proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-W", "error", *argv],
+                              cwd=work, env=env, capture_output=True,
+                              text=True)
         if proc.returncode != 0:
             sys.exit(f"{src}: {what} exited {proc.returncode}\n"
                      f"{proc.stderr}")
@@ -233,11 +237,16 @@ def main(rev: str) -> int:
     if printed_new != printed_old:
         differ.append("printed output")
         print("DIFFERS: printed output")
-    for side, reuse in (("working tree", reuse_new), (rev, reuse_old)):
+    for side, reuse, files in (("working tree", reuse_new, new),
+                               (rev, reuse_old, old)):
         for what in reuse:
             print(f"REUSE DIFFERS in {side}: {what} of the second in-process "
                   "extract")
             differ.append(what)
+        for p in files:
+            if p.name.startswith(".") and p.name.endswith(".tmp"):
+                print(f"TEMP FILE LEFT in {side}: {p}")
+                differ.append(p)
     print(f"{len(paths)} files and the printed output compared with {rev}: "
           + (f"{len(differ)} differ" if differ else "all byte-identical"))
     print(printed_new, end="")

@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,9 @@ import numpy as np
 from . import flowpath, metrics, mrnet, sampler, velnet
 from .errors import (AdflowError, ConfigError, DivergenceError,
                      FileFormatError, ParameterError)
-from .signal import (DatasetConfig, StoredDataset, _stft_frames,
-                     make_dataset, read_wav, spectral_record, write_lines,
-                     write_tensor, write_wav)
+from .signal import (DEFAULT_HOP, DEFAULT_N_FFT, DatasetConfig,
+                     StoredDataset, _stft_frames, make_dataset, read_wav,
+                     spectral_record, write_lines, write_tensor, write_wav)
 
 NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 
@@ -40,28 +39,24 @@ NFE_SWEEP_VALUES = (1, 2, 5, 10, 20)
 MAX_DATASET_SAMPLES = 2 ** 27
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    n_train: int = 500
-    n_eval: int = 50
-    duration_s: float = 0.5
-    sample_rate_hz: int = 16000
-    n_fft: int = 256
-    hop: int = 64
-    sigma_min: float = 0.0
-    sigma_max: float = 0.0
-    max_nfe: int = 5
-    epsilon: float = 1e-3
-    lr_init: float = 1e-4
-    lr_min: float = 1e-5
-    warmup_epochs: int = 5
-    t_max_epochs: int = 50
-    weight_decay: float = 0.01
-    grad_clip: float = 0.5
-    batch_size: int = 16
-    epochs: int = 60
-    output_dir: str = "runs/adflow"
+# The configs of the stages a run config feeds; each declares and checks
+# its own keys.
+_PARTS = (DatasetConfig, flowpath.PathParams, sampler.NfePolicy,
+          velnet.TrainConfig)
+
+
+def _keys(cls) -> list:
+    return [(f.name, f.type, f.default) for f in dataclasses.fields(cls)]
+
+
+# A run config holds every part's keys and the keys only the CLI owns, in
+# effective_config.txt's order: the seed (TrainConfig's last key) first.
+_data, _path, _nfe, (*_train, _seed) = map(_keys, _PARTS)
+RunConfig = dataclasses.make_dataclass("RunConfig", [
+    _seed, ("n_train", "int", 500), ("n_eval", "int", 50), *_data,
+    ("n_fft", "int", DEFAULT_N_FFT), ("hop", "int", DEFAULT_HOP), *_path,
+    *_nfe, *_train, ("output_dir", "str", "runs/adflow")],
+    namespace={"__module__": __name__})
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -80,8 +75,6 @@ def _coerce(key: str, value: str):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
     if kind == "float" and not math.isfinite(out):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    if key == "seed" and out < 0:
-        raise ConfigError(f"seed must be non-negative, got {out}")
     return out
 
 
@@ -111,8 +104,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if path is not None:
         try:
             values.update(parse_config_text(Path(path).read_text("utf-8")))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file {path} cannot be read: "
+                              f"{exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8: "
                               f"{exc}") from exc
@@ -137,10 +131,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
                           "back from effective_config.txt as it is")
     try:
         # each part checks its own fields, and _stft_frames the framing
-        n_samples = _part(DatasetConfig, cfg).n_samples
-        for cls in (velnet.TrainConfig, flowpath.PathParams,
-                    sampler.NfePolicy):
-            _part(cls, cfg)
+        data, *_ = [_part(cls, cfg) for cls in _PARTS]
+        n_samples = data.n_samples
         _stft_frames(n_samples, cfg.n_fft, cfg.hop)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -156,8 +148,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 
 def _part(cls, cfg: RunConfig):
-    """The `cls` config (DatasetConfig, TrainConfig, PathParams or
-    NfePolicy) built from the RunConfig fields of the same names."""
+    """The `cls` config (one of `_PARTS`) built from the RunConfig fields
+    of the same names."""
     return cls(**{f.name: getattr(cfg, f.name)
                   for f in dataclasses.fields(cls)})
 

@@ -13,8 +13,9 @@ import numpy as np
 from .errors import DegenerateInputError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
-from .signal import (SpectralRecord, Waveform, samples_of,  # noqa: F401
-                     spectral_record, stft)
+from .signal import (DEFAULT_HOP, DEFAULT_N_FFT,  # noqa: F401
+                     SpectralRecord, Waveform, samples_of, spectral_record,
+                     stft)
 
 SI_SDR_CAP_DB = 100.0
 
@@ -43,7 +44,8 @@ def si_sdr(est, ref_) -> float:
     return float(np.clip(val, -SI_SDR_CAP_DB, SI_SDR_CAP_DB))
 
 
-def lsd(est, ref_, n_fft: int = 256, hop: int = 64) -> float:
+def lsd(est, ref_, n_fft: int = DEFAULT_N_FFT,
+        hop: int = DEFAULT_HOP) -> float:
     """RMS difference of 10*log10 magnitudes over frames and bins, in dB."""
     est, ref_ = (w if isinstance(w, (Waveform, SpectralRecord))
                  else Waveform(np.asarray(w)) for w in (est, ref_))
@@ -79,20 +81,17 @@ class EvalReport:
     tau_hat: float
 
     def __post_init__(self):
-        vals = (self.si_sdr_db, self.si_sdr_improvement_db, self.lsd_db,
-                self.sim_cosine, self.tau_true, self.tau_hat)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(np.isfinite(getattr(self, c)) for c in REPORT_COLUMNS):
             raise DegenerateInputError("report fields must be finite")
 
     def csv_row(self) -> list:
         """Values in REPORT_COLUMNS order, formatted deterministically."""
-        return [repr(float(self.tau_true)), repr(float(self.tau_hat)),
-                str(int(self.nfe_used)), repr(float(self.si_sdr_db)),
-                repr(float(self.si_sdr_improvement_db)),
-                repr(float(self.lsd_db)), repr(float(self.sim_cosine))]
+        return [str(int(self.nfe_used)) if col == "nfe_used"
+                else repr(float(getattr(self, col))) for col in REPORT_COLUMNS]
 
 
-def scorer(x, s1, extractor, n_fft: int = 256, hop: int = 64):
+def scorer(x, s1, extractor, n_fft: int = DEFAULT_N_FFT,
+           hop: int = DEFAULT_HOP):
     """The scores of estimates of s1 from the mixture x, as a function.
 
     `score(est)` returns SI-SDR, its improvement over the mixture, LSD and

@@ -17,9 +17,9 @@ from .errors import DegenerateInputError
 # stft, stats_features, AdamW and clip_gradients are bound here by name only
 # so that perfbench's tracer, which rebinds them in this module, finds them:
 # spectra come from spectral_record and training runs in velnet.fit.
-from .signal import (DEFAULT_SAMPLE_RATE, Waveform,  # noqa: F401
-                     read_checkpoint, samples_of, spectral_record, stft,
-                     write_checkpoint)
+from .signal import (DEFAULT_HOP, DEFAULT_N_FFT,  # noqa: F401
+                     DEFAULT_SAMPLE_RATE, Waveform, read_checkpoint,
+                     samples_of, spectral_record, stft, write_checkpoint)
 from .velnet import (AdamW, TrainConfig, clip_gradients,  # noqa: F401
                      fit, stats_features)
 
@@ -39,8 +39,8 @@ class MrRegressor:
     head_b1: np.ndarray
     head_w2: np.ndarray     # (hidden_dim,)
     head_b2: np.ndarray     # scalar, shape (1,)
-    feat_n_fft: int = 256
-    feat_hop: int = 64
+    feat_n_fft: int = DEFAULT_N_FFT
+    feat_hop: int = DEFAULT_HOP
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
 
     def parameters(self) -> list:
@@ -49,7 +49,7 @@ class MrRegressor:
 
     @classmethod
     def create(cls, seed: int = 0, embed_dim: int = 64, hidden_dim: int = 256,
-               feat_n_fft: int = 256, feat_hop: int = 64,
+               feat_n_fft: int = DEFAULT_N_FFT, feat_hop: int = DEFAULT_HOP,
                sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "MrRegressor":
         rng = np.random.default_rng(seed)
         feat_dim = 3 * (feat_n_fft // 2 + 1) + 1

@@ -29,6 +29,7 @@ from . import flowpath
 from .errors import FileFormatError, ParameterError, ShapeError
 
 DEFAULT_SAMPLE_RATE = 16000
+DEFAULT_N_FFT, DEFAULT_HOP = 256, 64
 
 # Largest waveform a config or an input WAV may hold: 2^24 samples (about
 # 17 minutes at 16 kHz) is 128 MB per float64 waveform.
@@ -43,7 +44,7 @@ MAX_SAMPLE_RATE_HZ = 2 ** 31 - 1
 MAX_N_FFT = 2 ** 16
 
 # Largest STFT of one waveform, in frames x n_fft values; at the default
-# 256/64 framing every waveform under MAX_WAVEFORM_SAMPLES fits.
+# framing every waveform under MAX_WAVEFORM_SAMPLES fits.
 MAX_STFT_VALUES = 4 * MAX_WAVEFORM_SAMPLES
 
 # Full-scale amplitude mapped to int16 32767 when writing WAV files.
@@ -449,14 +450,10 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
 # ---------------------------------------------------------------------------
 # STFT / ISTFT
 
-def hann_window(n_fft: int) -> np.ndarray:
-    """Periodic Hann window."""
-    return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)
-
-
 @functools.lru_cache(maxsize=8)
-def _cached_window(n_fft: int) -> np.ndarray:
-    win = hann_window(n_fft)
+def hann_window(n_fft: int) -> np.ndarray:
+    """Periodic Hann window, read-only and shared by every caller."""
+    win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)
     win.flags.writeable = False
     return win
 
@@ -479,7 +476,7 @@ def _stft_frames(n: int, n_fft: int, hop: int) -> int:
 
 
 # Largest workspace (see `_workspace`) a thread keeps between calls, in
-# bytes; at 8,000 samples with 256/64 framing one takes about 0.76 MB.
+# bytes; at 8,000 samples and the default framing one takes about 0.76 MB.
 _WORKSPACE_MAX_BYTES = 16 * 2 ** 20
 
 _thread_state = threading.local()
@@ -509,7 +506,7 @@ def _workspace(n: int, n_fft: int, hop: int) -> tuple:
     return ws
 
 
-def stft(w: Waveform, n_fft: int = 256, hop: int = 64,
+def stft(w: Waveform, n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
          out: np.ndarray | None = None) -> Spectrogram:
     """Hann-windowed STFT; frames start at sample 0, zero-padded at the end.
 
@@ -518,7 +515,7 @@ def stft(w: Waveform, n_fft: int = 256, hop: int = 64,
     """
     x = w.samples
     padded, windowed, *_ = _workspace(x.size, n_fft, hop)
-    win = _cached_window(n_fft)
+    win = hann_window(n_fft)
     padded[:x.size] = x
     np.multiply(sliding_window_view(padded, n_fft)[::hop], win, out=windowed)
     frames = np.fft.rfft(windowed, n=n_fft, axis=1,
@@ -553,7 +550,7 @@ def samples_of(w) -> np.ndarray:
     return w.samples if isinstance(w, Waveform) else np.asarray(w, np.float64)
 
 
-def spectral_record(w, n_fft: int = 256, hop: int = 64,
+def spectral_record(w, n_fft: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP,
                     keep_db: bool = False) -> SpectralRecord:
     """One STFT of a waveform, reduced to a `SpectralRecord`.
 
@@ -614,6 +611,10 @@ def istft(s: Spectrogram, out_len: int,
 # WAV (16-bit PCM mono), raw tensor ("ADFT") and checkpoint files
 
 def write_wav(path, w: Waveform) -> None:
+    """16-bit PCM mono; ParameterError for a rate `read_wav` refuses."""
+    if w.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
+        raise ParameterError(f"sample_rate_hz={w.sample_rate_hz} is above "
+                             f"{MAX_SAMPLE_RATE_HZ}")
     ints = np.clip(np.round(w.samples / WAV_FULL_SCALE * 32767.0),
                    -32768, 32767).astype("<i2")
     with _atomic_open(path) as f, wave.open(f, "wb") as out:
@@ -655,7 +656,11 @@ def read_wav(path) -> Waveform:
 
 
 def write_tensor_stream(f, arr: np.ndarray) -> None:
+    """One ADFT tensor; ParameterError for a rank `_parse_tensor` refuses."""
     arr = np.asarray(arr, dtype="<f4")
+    if arr.ndim > _MAX_TENSOR_RANK:
+        raise ParameterError(f"tensor rank {arr.ndim} exceeds "
+                             f"{_MAX_TENSOR_RANK}")
     f.write(_TENSOR_MAGIC)
     f.write(struct.pack("<I", arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))

@@ -22,8 +22,9 @@ from . import flowpath
 from .errors import DivergenceError, ParameterError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
-from .signal import (DEFAULT_SAMPLE_RATE, read_checkpoint,  # noqa: F401
-                     spectral_record, stft, write_checkpoint)
+from .signal import (DEFAULT_HOP, DEFAULT_N_FFT,  # noqa: F401
+                     DEFAULT_SAMPLE_RATE, read_checkpoint, spectral_record,
+                     stft, write_checkpoint)
 
 DEFAULT_FRAME_LEN = 64
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -52,7 +53,8 @@ def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
-def stats_features(w, n_fft: int = 256, hop: int = 64) -> np.ndarray:
+def stats_features(w, n_fft: int = DEFAULT_N_FFT,
+                   hop: int = DEFAULT_HOP) -> np.ndarray:
     """Stats-pooled log-magnitude spectrum: per-band mean and std over frames.
 
     `w` is a Waveform or its `SpectralRecord`.
@@ -73,17 +75,13 @@ class VelocityNet:
     frame_len: int = DEFAULT_FRAME_LEN
     tau_embed_dim: int = 16
     enroll_embed_dim: int = 16
-    feat_n_fft: int = 256
-    feat_hop: int = 64
+    feat_n_fft: int = DEFAULT_N_FFT
+    feat_hop: int = DEFAULT_HOP
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
 
     @property
     def layer_dims(self) -> list:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
 
     def parameters(self) -> list:
         out = []
@@ -94,8 +92,8 @@ class VelocityNet:
     @classmethod
     def create(cls, seed: int = 0, frame_len: int = DEFAULT_FRAME_LEN,
                hidden_dims=DEFAULT_HIDDEN, tau_embed_dim: int = 16,
-               enroll_embed_dim: int = 16, feat_n_fft: int = 256,
-               feat_hop: int = 64,
+               enroll_embed_dim: int = 16, feat_n_fft: int = DEFAULT_N_FFT,
+               feat_hop: int = DEFAULT_HOP,
                sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "VelocityNet":
         rng = np.random.default_rng(seed)
         in_dim = 3 * frame_len + enroll_embed_dim + tau_embed_dim
@@ -123,7 +121,7 @@ def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
 
 
 def _forward(net: VelocityNet, rows: np.ndarray, outs=None):
-    """Forward pass over a (n, input_dim) batch; returns (out, activations).
+    """Forward pass over a batch of rows; returns (out, activations).
     Layer i writes its output into `outs[i]` if given, else a new array."""
     acts = [rows]
     h = rows
@@ -184,7 +182,7 @@ class _StepBuffers:
 
     def __init__(self, net: VelocityNet):
         n = _BLOCK_ROWS
-        shapes = [(n, net.input_dim), (n, net.frame_len),
+        shapes = [(n, net.layer_dims[0]), (n, net.frame_len),
                   (n * max(net.layer_dims[1:-1], default=0),),
                   *[(n, w.shape[0]) for w in net.weights],
                   *[p.shape for p in net.parameters()]]
@@ -213,9 +211,9 @@ def _fill_rows(rows: np.ndarray, net: VelocityNet, x: np.ndarray,
     fl, n = net.frame_len, len(rows)
     te = embed_tau(tau, net.tau_embed_dim)
     width = 3 * fl + e_embed.size + te.size
-    if width != net.input_dim:
+    if width != net.layer_dims[0]:
         raise ShapeError(
-            f"built input dim {width} != net input dim {net.input_dim}")
+            f"built input dim {width} != net input dim {net.layer_dims[0]}")
     # frames first - 1 .. first + n, zero where they lie outside x
     context = np.zeros((n + 2) * fl)
     lo = (first - 1) * fl
@@ -232,7 +230,7 @@ def _fill_rows(rows: np.ndarray, net: VelocityNet, x: np.ndarray,
 def _build_rows(net: VelocityNet, x: np.ndarray, e_embed: np.ndarray,
                 tau: float) -> np.ndarray:
     """The net input for one signal, in one matrix of the weights' dtype."""
-    rows = np.empty((_n_frames(np.size(x), net.frame_len), net.input_dim),
+    rows = np.empty((_n_frames(np.size(x), net.frame_len), net.layer_dims[0]),
                     dtype=net.weights[0].dtype)
     _fill_rows(rows, net, x, e_embed, tau)
     return rows
@@ -343,6 +341,8 @@ class TrainConfig:
             raise ParameterError("batch size and epochs must be positive")
         if self.grad_clip <= 0 or self.weight_decay < 0:
             raise ParameterError("bad grad_clip or weight_decay")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 def lr_for_epoch(config: TrainConfig, epoch: int) -> float:

@@ -120,6 +120,16 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_unreadable_exits_2(tmp_path, capsys):
+    # a directory opens, but reading it raises IsADirectoryError
+    cfg = tmp_path / "c.cfg"
+    cfg.mkdir()
+    assert main(["gen-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("name", ["o_\udcff", "o_\0"],
                          ids=["surrogate", "nul"])
 def test_output_dir_unusable_exits_2_before_writing(tmp_path, capsys, name):

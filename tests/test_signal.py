@@ -692,6 +692,40 @@ def test_tensor_rank_past_cap(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_write_tensor_rank_cap(tmp_path, past):
+    # the writer refuses what the reader refuses, before writing a byte
+    rank = signal._MAX_TENSOR_RANK + past
+    arr = np.full((1,) * rank, 2.5, np.float32)
+    path = tmp_path / "t.adft"
+    if not past:
+        write_tensor(path, arr)
+        assert np.array_equal(read_tensor(path), arr)
+        return
+    with pytest.raises(ParameterError, match=f"rank {rank}"):
+        write_tensor(path, arr)
+    assert list(tmp_path.iterdir()) == []
+    stream = io.BytesIO()
+    with pytest.raises(ParameterError):
+        write_tensor_stream(stream, arr)
+    assert stream.getvalue() == b""
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_write_wav_rate_cap(tmp_path, past):
+    w = Waveform(np.full(4, 0.5), signal.MAX_SAMPLE_RATE_HZ + past)
+    path = tmp_path / "a.wav"
+    if not past:
+        write_wav(path, w)
+        back = read_wav(path)
+        assert back.sample_rate_hz == w.sample_rate_hz
+        assert np.allclose(back.samples, w.samples, atol=4.0 / 32767)
+        return
+    with pytest.raises(ParameterError, match="above"):
+        write_wav(path, w)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tensor_cut_inside_its_dims(tmp_path):
     path = tmp_path / "t.adft"
     path.write_bytes(b"ADFT" + struct.pack("<2I", 2, 3))

@@ -500,6 +500,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ParameterError):
         TrainConfig(grad_clip=0.0)
+    with pytest.raises(ParameterError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
