@@ -19,16 +19,16 @@ stores `run/train_set.adfd`, `run/eval_set.adfd`, `oracle/eval_set.adfd`,
 and every line they print must match byte for byte.
 
 On each side, one more process then calls `adflow.cli.main` twice: an
-extract with `--max-nfe 1 --n-fft 510 --hop 128` into `reuse_first.wav`,
-whose records then use a second STFT framing besides the checkpoints'
-one, then the extract above into `reuse.wav`. The second call must print
-what the extract subprocess printed and write `reuse.wav` byte-identical
-to its `extract.wav`, so state left over from an earlier call in one
-process shows as `REUSE DIFFERS`. A file written on one side only is
-reported as `ONLY IN <side>: path`. Every process runs with warnings as
-errors (`-W error`), and a temp file `.<name>.<pid>.tmp` that an output's
-atomic write leaves on either side is reported as `TEMP FILE LEFT in
-<side>: path`. For each CSV that differs, it prints the largest relative
+extract with `--set max_nfe=1 --set n_fft=510 --set hop=128` into
+`reuse_first.wav`, whose records then use a second STFT framing besides
+the checkpoints' one, then the extract above into `reuse.wav`. The second
+call must print what the extract subprocess printed and write `reuse.wav`
+byte-identical to its `extract.wav`, so state left over from an earlier
+call in one process shows as `REUSE DIFFERS`. A file written on one side
+only is reported as `ONLY IN <side>: path`. Every process runs with
+warnings as errors (`-W error`), and a temp file `.<name>.*.tmp` that an
+output's atomic write leaves on either side is reported as `TEMP FILE LEFT
+in <side>: path`. For each CSV that differs, it prints the largest relative
 difference over its numeric cells and the column it occurs in, and for
 each checkpoint that differs, the largest relative difference over the
 values of its tensors and the index of the tensor, so an intended numeric
@@ -94,7 +94,7 @@ def with_config(command: list) -> list:
 # Two extract requests through one process; the second one's printed output
 # follows the marker line.
 REUSE_FIRST = with_config(extract("reuse_first.wav")) + [
-    "--max-nfe", "1", "--n-fft", "510", "--hop", "128"]
+    "--set", "max_nfe=1", "--set", "n_fft=510", "--set", "hop=128"]
 REUSE_SECOND = with_config(extract("reuse.wav"))
 REUSE_MARKER = "--- second call\n"
 REUSE_DRIVER = f"""\

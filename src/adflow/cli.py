@@ -2,7 +2,7 @@
 
 Commands:
     adflow gen-data | train-vel | train-mr | ablate | nfe-sweep | extract
-        --config <path> [--out <dir>] [--set key=value ...]
+        --config <path> [--out <dir>] [--seed N] [--set key=value ...]
 
 Run configs are flat key=value text files; unknown keys are rejected and the
 effective config is echoed into the output directory. Every command is a pure
@@ -206,35 +206,36 @@ def cmd_gen_data(cfg: RunConfig) -> Path:
     return out
 
 
-def _loss_csv(path: Path, cfg: RunConfig, trace: list) -> None:
-    tc = _part(velnet.TrainConfig, cfg)
+def _loss_csv(path: Path, tc: velnet.TrainConfig, trace: list) -> None:
     rows = [[str(epoch), repr(float(velnet.lr_for_epoch(tc, epoch))),
              repr(float(loss))] for epoch, loss in enumerate(trace)]
     _write_csv(path, ["epoch", "lr", "loss"], rows)
 
 
+def _trained_on(cfg: RunConfig) -> dict:
+    """The settings both nets record: the framing and sample rate."""
+    return {"feat_n_fft": cfg.n_fft, "feat_hop": cfg.hop,
+            "sample_rate_hz": cfg.sample_rate_hz}
+
+
 def cmd_train_vel(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
-    net = velnet.VelocityNet.create(cfg.seed, feat_n_fft=cfg.n_fft,
-                                    feat_hop=cfg.hop,
-                                    sample_rate_hz=cfg.sample_rate_hz)
-    _, trace = velnet.train_velocity(net, _train_dataset(cfg, out),
-                                     _part(velnet.TrainConfig, cfg),
+    net = velnet.VelocityNet.create(cfg.seed, **_trained_on(cfg))
+    tc = _part(velnet.TrainConfig, cfg)
+    _, trace = velnet.train_velocity(net, _train_dataset(cfg, out), tc,
                                      _part(flowpath.PathParams, cfg))
     velnet.save_velnet(out / "velnet.ckpt", net)
-    _loss_csv(out / "train_vel_loss.csv", cfg, trace)
+    _loss_csv(out / "train_vel_loss.csv", tc, trace)
     return out
 
 
 def cmd_train_mr(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
-    reg = mrnet.MrRegressor.create(cfg.seed + 17, feat_n_fft=cfg.n_fft,
-                                   feat_hop=cfg.hop,
-                                   sample_rate_hz=cfg.sample_rate_hz)
-    _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out),
-                              _part(velnet.TrainConfig, cfg))
+    reg = mrnet.MrRegressor.create(cfg.seed + 17, **_trained_on(cfg))
+    tc = _part(velnet.TrainConfig, cfg)
+    _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out), tc)
     mrnet.save_mrnet(out / "mrnet.ckpt", reg)
-    _loss_csv(out / "train_mr_loss.csv", cfg, trace)
+    _loss_csv(out / "train_mr_loss.csv", tc, trace)
     return out
 
 
@@ -454,9 +455,6 @@ def _add_common(p):
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a single config key")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n-fft", type=int, dest="n_fft")
-    p.add_argument("--hop", type=int)
-    p.add_argument("--max-nfe", type=int, dest="max_nfe")
 
 
 def _overrides_from(args) -> dict:
@@ -468,10 +466,8 @@ def _overrides_from(args) -> dict:
         out[key.strip()] = value.strip()
     if args.out is not None:
         out["output_dir"] = args.out
-    for key in ("seed", "n_fft", "hop", "max_nfe"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = str(val)
+    if args.seed is not None:
+        out["seed"] = str(args.seed)
     return out
 
 

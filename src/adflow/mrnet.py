@@ -28,6 +28,9 @@ _LOGIT_CLIP = 30.0
 
 _MR_HEADER = "ADFLOW-MRNET v1"
 
+# header keys, each an MrRegressor field, in header order after the widths
+_MR_FIELDS = ("feat_n_fft", "feat_hop", "sample_rate_hz")
+
 
 @dataclass
 class MrRegressor:
@@ -48,11 +51,11 @@ class MrRegressor:
                 self.head_w2, self.head_b2]
 
     @classmethod
-    def create(cls, seed: int = 0, embed_dim: int = 64, hidden_dim: int = 256,
-               feat_n_fft: int = DEFAULT_N_FFT, feat_hop: int = DEFAULT_HOP,
-               sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "MrRegressor":
+    def create(cls, seed: int = 0, *, embed_dim: int = 64,
+               hidden_dim: int = 256, **fields) -> "MrRegressor":
+        reg = cls(*[None] * 6, **fields)
         rng = np.random.default_rng(seed)
-        feat_dim = 3 * (feat_n_fft // 2 + 1) + 1
+        feat_dim = 3 * (reg.feat_n_fft // 2 + 1) + 1
 
         def glorot(fan_out, fan_in):
             lim = np.sqrt(6.0 / (fan_in + fan_out))
@@ -61,15 +64,14 @@ class MrRegressor:
         # near-isometric extractor init keeps inner products between the two
         # embeddings informative; biased, scaled head init gives the tanh
         # units curvature so quadratic (similarity) terms are reachable
-        return cls(extract_w=rng.normal(size=(embed_dim, feat_dim))
-                   / np.sqrt(embed_dim),
-                   extract_b=np.zeros(embed_dim),
-                   head_w1=2.0 * glorot(hidden_dim, 2 * embed_dim),
-                   head_b1=0.5 * rng.normal(size=hidden_dim),
-                   head_w2=glorot(1, hidden_dim)[0],
-                   head_b2=np.zeros(1),
-                   feat_n_fft=feat_n_fft, feat_hop=feat_hop,
-                   sample_rate_hz=sample_rate_hz)
+        reg.extract_w = rng.normal(size=(embed_dim, feat_dim)) / np.sqrt(
+            embed_dim)
+        reg.extract_b = np.zeros(embed_dim)
+        reg.head_w1 = 2.0 * glorot(hidden_dim, 2 * embed_dim)
+        reg.head_b1 = 0.5 * rng.normal(size=hidden_dim)
+        reg.head_w2 = glorot(1, hidden_dim)[0]
+        reg.head_b2 = np.zeros(1)
+        return reg
 
 
 def _sigmoid(z):
@@ -173,8 +175,7 @@ def mr_oracle_lsq(x, s1, b) -> float:
 def save_mrnet(path, reg: MrRegressor) -> None:
     write_checkpoint(path, _MR_HEADER, {
         "embed_dim": reg.extract_b.size, "hidden_dim": reg.head_b1.size,
-        "feat_n_fft": reg.feat_n_fft, "feat_hop": reg.feat_hop,
-        "sample_rate_hz": reg.sample_rate_hz}, reg.parameters())
+        **{key: getattr(reg, key) for key in _MR_FIELDS}}, reg.parameters())
 
 
 def load_mrnet(path) -> MrRegressor:
@@ -191,7 +192,4 @@ def load_mrnet(path) -> MrRegressor:
                 (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
 
     meta, tensors = read_checkpoint(path, _MR_HEADER, shapes, np.float64)
-    return MrRegressor(*tensors,
-                       feat_n_fft=meta["feat_n_fft"],
-                       feat_hop=meta["feat_hop"],
-                       sample_rate_hz=meta["sample_rate_hz"])
+    return MrRegressor(*tensors, **{key: meta[key] for key in _MR_FIELDS})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import operator
 import os
@@ -357,19 +358,24 @@ def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
     return f
 
 
+# numbers this process's temp files, one per write, whatever the thread
+_temp_ids = itertools.count()
+
+
 @contextlib.contextmanager
 def _atomic_open(path):
     """A binary file to write that replaces `path` when the block exits
     normally: a temp file beside it, then `os.replace`. If the block raises,
     `path` stays as it was and the temp file is removed. A symlink's target
     is replaced; a target that is not a regular file, or whose directory is
-    missing, raises OSError naming `path`."""
+    missing, raises OSError naming `path`. Concurrent writes to one path
+    each leave `path` whole, holding the bytes of the last to finish."""
     real = Path(os.path.realpath(path) if os.path.islink(path) else path)
     if os.path.exists(real) and not os.path.isfile(real):
         raise OSError(f"{path}: exists and is not a regular file")
     if not os.path.isdir(real.parent):
         raise FileNotFoundError(f"{path}: its directory does not exist")
-    tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
+    tmp = real.with_name(f".{real.name}.{os.getpid()}.{next(_temp_ids)}.tmp")
     try:
         with open(tmp, "wb") as f:
             yield f
@@ -611,10 +617,12 @@ def istft(s: Spectrogram, out_len: int,
 # WAV (16-bit PCM mono), raw tensor ("ADFT") and checkpoint files
 
 def write_wav(path, w: Waveform) -> None:
-    """16-bit PCM mono; ParameterError for a rate `read_wav` refuses."""
+    """16-bit PCM mono; ParameterError past `read_wav`'s rate or length cap."""
     if w.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
         raise ParameterError(f"sample_rate_hz={w.sample_rate_hz} is above "
                              f"{MAX_SAMPLE_RATE_HZ}")
+    if len(w) > MAX_WAVEFORM_SAMPLES:
+        raise ParameterError(f"{len(w)} samples, above {MAX_WAVEFORM_SAMPLES}")
     ints = np.clip(np.round(w.samples / WAV_FULL_SCALE * 32767.0),
                    -32768, 32767).astype("<i2")
     with _atomic_open(path) as f, wave.open(f, "wb") as out:
@@ -715,8 +723,12 @@ def read_tensor(path) -> np.ndarray:
 
 def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
     """Atomically replace `path` with the header `magic key=value ...` of
-    `meta`, then `tensors`."""
+    `meta`, then `tensors`; ParameterError for a header `read_checkpoint`
+    refuses, one past _CHECKPOINT_HEADER_LIMIT."""
     header = " ".join([magic, *(f"{k}={v}" for k, v in meta.items())])
+    if len(header) > _CHECKPOINT_HEADER_LIMIT:
+        raise ParameterError(f"checkpoint header of {len(header)} bytes is "
+                             f"above {_CHECKPOINT_HEADER_LIMIT}")
     with _atomic_open(path) as f:
         f.write(header.encode("ascii") + b"\n")
         for t in tensors:

@@ -40,7 +40,7 @@ def _tau_freqs(k: int) -> np.ndarray:
     return freqs
 
 
-def embed_tau(tau: float, dim: int = 16) -> np.ndarray:
+def embed_tau(tau: float, dim: int) -> np.ndarray:
     """Sinusoidal features [sin(2 pi f_k tau), cos(2 pi f_k tau)].
 
     Frequencies run geometrically from 1 to 64 with dim/2 values.
@@ -90,25 +90,20 @@ class VelocityNet:
         return out
 
     @classmethod
-    def create(cls, seed: int = 0, frame_len: int = DEFAULT_FRAME_LEN,
-               hidden_dims=DEFAULT_HIDDEN, tau_embed_dim: int = 16,
-               enroll_embed_dim: int = 16, feat_n_fft: int = DEFAULT_N_FFT,
-               feat_hop: int = DEFAULT_HOP,
-               sample_rate_hz: int = DEFAULT_SAMPLE_RATE) -> "VelocityNet":
+    def create(cls, seed: int = 0, *, hidden_dims=DEFAULT_HIDDEN,
+               **fields) -> "VelocityNet":
+        net = cls([], [], None, **fields)
         rng = np.random.default_rng(seed)
-        in_dim = 3 * frame_len + enroll_embed_dim + tau_embed_dim
-        dims = [in_dim, *hidden_dims, frame_len]
-        weights, biases = [], []
+        dims = [3 * net.frame_len + net.enroll_embed_dim + net.tau_embed_dim,
+                *hidden_dims, net.frame_len]
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             lim = np.sqrt(6.0 / (fan_in + fan_out))
-            weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        feat_dim = 2 * (feat_n_fft // 2 + 1)
-        proj = rng.normal(size=(enroll_embed_dim, feat_dim)) / np.sqrt(feat_dim)
-        return cls(weights=weights, biases=biases, enroll_proj=proj,
-                   frame_len=frame_len, tau_embed_dim=tau_embed_dim,
-                   enroll_embed_dim=enroll_embed_dim, feat_n_fft=feat_n_fft,
-                   feat_hop=feat_hop, sample_rate_hz=sample_rate_hz)
+            net.weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
+            net.biases.append(np.zeros(fan_out))
+        feat_dim = 2 * (net.feat_n_fft // 2 + 1)
+        net.enroll_proj = rng.normal(
+            size=(net.enroll_embed_dim, feat_dim)) / np.sqrt(feat_dim)
+        return net
 
 
 def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
@@ -444,10 +439,8 @@ class _PathEntry:
                                                               seed, pp)
         self.e_embed, self.n = embedded
 
-    def __getitem__(self, k):
-        if k != 0:
-            raise IndexError("only entry[0], x_tau's length, is indexed")
-        return range(self.n)
+    def __getitem__(self, k):  # entry[0] is x_tau's length; entry[1] raises
+        return (range(self.n),)[k]
 
     def __iter__(self):
         item = self.dataset[self.j]

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import wave
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -162,15 +163,16 @@ BAD_CONFIG_VALUES = {
     "grad_clip_zero": ("train-mr", ["--set", "grad_clip=0"]),
     "batch_size_zero": ("train-mr", ["--set", "batch_size=0"]),
     "max_nfe_zero": ("ablate", ["--set", "max_nfe=0"]),
-    "max_nfe_past_cap": ("ablate", ["--max-nfe", str(sampler.MAX_NFE + 1)]),
+    "max_nfe_past_cap": ("ablate", ["--set",
+                                    f"max_nfe={sampler.MAX_NFE + 1}"]),
     "epsilon_half": ("ablate", ["--set", "epsilon=0.5"]),
     "hop_zero": ("ablate", ["--set", "hop=0"]),
     "n_fft_cola": ("ablate", ["--set", "n_fft=100"]),
     # 2^18 + 1 frames of 256 at hop 1: 0.5 s at 600 kHz is 300,000 samples
-    "stft_past_cap": ("ablate", ["--n-fft", "256", "--hop", "1",
+    "stft_past_cap": ("ablate", ["--set", "n_fft=256", "--set", "hop=1",
                                  "--set", "sample_rate_hz=600000"]),
-    "n_fft_past_cap": ("train-mr", ["--n-fft", str(signal.MAX_N_FFT + 2),
-                                    "--hop", "32"]),
+    "n_fft_past_cap": ("train-mr", ["--set", f"n_fft={signal.MAX_N_FFT + 2}",
+                                    "--set", "hop=32"]),
     "sigma_min_negative": ("ablate", ["--set", "sigma_min=-1"]),
     # 16,778 items of 8,000 samples are past cli.MAX_DATASET_SAMPLES
     "n_train_past_cap": ("train-vel", ["--set", "n_train=16778"]),
@@ -680,6 +682,31 @@ def test_write_through_symlink_keeps_link(tmp_path):
     assert [p.name for p in (tmp_path / "data").iterdir()] == ["a.csv"]
 
 
+def test_concurrent_writes_to_one_path_leave_one_whole_version(tmp_path):
+    # threads that shared one temp file would truncate, remove or publish
+    # one another's half-written bytes
+    path = tmp_path / "a.csv"
+    versions = [[str(v) * 2 ** 14] * 4 for v in range(4)]
+
+    def write(v):
+        for _ in range(150):
+            signal.write_lines(path, versions[v])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            list(pool.map(write, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert path.read_text("utf-8") in ["\n".join(v) + "\n" for v in versions]
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]  # no temp file
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert stat.S_IMODE(path.stat().st_mode) == \
+        stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+
 def test_train_rerun_byte_identical(run_dir, tmp_path):
     cfg_path = run_dir / "run.cfg"
     outs = []
@@ -1088,7 +1115,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(argv) == 2
-    assert main(["ablate", "--out", str(tmp_path), "--max-nfe", "0"]) == 2
+    assert main(["ablate", "--out", str(tmp_path), "--set", "max_nfe=0"]) == 2
     assert built == []
 
 
@@ -1096,7 +1123,9 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     ["no-such-command"],
     ["extract", "--enroll", "e.wav", "--out-wav", "o.wav"],
     ["nfe-sweep", "--field", "bogus"],
-], ids=["unknown_command", "extract_without_in", "nfe_sweep_bad_field"])
+    ["ablate", "--n-fft", "256"],
+], ids=["unknown_command", "extract_without_in", "nfe_sweep_bad_field",
+        "config_key_as_flag"])
 def test_argparse_error_exits_2_on_every_call(argv, capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:

@@ -223,6 +223,17 @@ def test_oracle_at_least_as_accurate_as_regressor():
 # ---------------------------------------------------------------------------
 # Checkpoints
 
+def test_create_takes_settings_by_field_name_only():
+    reg = MrRegressor.create(0, embed_dim=6, hidden_dim=5, feat_n_fft=64)
+    assert reg.feat_n_fft == 64
+    assert [p.shape for p in reg.parameters()] == [
+        (6, 100), (6,), (5, 12), (5,), (5,), (1,)]
+    with pytest.raises(TypeError):
+        MrRegressor.create(0, 6)  # no setting binds by position
+    with pytest.raises(TypeError):
+        MrRegressor.create(0, n_fft=64)  # not a field
+
+
 def test_checkpoint_roundtrip(tmp_path):
     reg = MrRegressor.create(3)
     path = tmp_path / "mrnet.ckpt"

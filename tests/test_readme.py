@@ -1,9 +1,13 @@
-"""README.md's backticked adflow names must exist, and the values it states
-for them must be the code's."""
+"""README.md's backticked adflow names must exist, the values it states
+for them must be the code's, and the flags its CLI section shows must be
+the CLI's."""
 
+import argparse
 import importlib
 import re
 from pathlib import Path
+
+from adflow import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("cli", "errors", "flowpath", "metrics", "mrnet", "sampler",
@@ -83,3 +87,21 @@ def test_readme_stated_values_match_code():
         if actual != value:
             wrong[name] = (value, actual)
     assert not wrong, f"README values (stated, code) that differ: {wrong}"
+
+
+def cli_flags() -> set:
+    """Every option string some subcommand of the CLI accepts."""
+    subs, = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {flag for p in subs.choices.values() for a in p._actions
+            for flag in a.option_strings}
+
+
+def test_readme_cli_flags_are_accepted():
+    section = README.read_text("utf-8").split("\n## CLI\n")[1]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                           section.split("\n## ")[0]))
+    # guards the pattern itself: the synopsis and the prose are read
+    assert {"--config", "--set", "--seed", "--reference"} <= flags
+    unknown = sorted(flags - cli_flags())
+    assert not unknown, f"README flags no subcommand accepts: {unknown}"

@@ -726,6 +726,39 @@ def test_write_wav_rate_cap(tmp_path, past):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_write_wav_length_cap(tmp_path, monkeypatch, past):
+    monkeypatch.setattr(signal, "MAX_WAVEFORM_SAMPLES", 8)
+    w = Waveform(np.full(8 + past, 0.5))
+    path = tmp_path / "a.wav"
+    if not past:
+        write_wav(path, w)
+        assert np.allclose(read_wav(path).samples, w.samples, atol=4.0 / 32767)
+        return
+    with pytest.raises(ParameterError, match="9 samples, above 8"):
+        write_wav(path, w)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at_cap", "past_cap"])
+def test_write_checkpoint_header_cap(tmp_path, past):
+    meta = {"feat_n_fft": 256, "feat_hop": 64, "sample_rate_hz": 16000}
+    used = len("M " + " ".join(f"{k}={v}" for k, v in meta.items()))
+    # a key that pads " key=0" to the header's cap, or one byte past it
+    meta["k" * (signal._CHECKPOINT_HEADER_LIMIT + past - used - 3)] = 0
+    path = tmp_path / "a.ckpt"
+    if not past:
+        signal.write_checkpoint(path, "M", meta, [np.ones(2)])
+        assert path.read_bytes().index(b"\n") == \
+            signal._CHECKPOINT_HEADER_LIMIT
+        back, (t,) = signal.read_checkpoint(path, "M", lambda m: [(2,)])
+        assert back == meta and np.array_equal(t, np.ones(2))
+        return
+    with pytest.raises(ParameterError, match="above 4096"):
+        signal.write_checkpoint(path, "M", meta, [np.ones(2)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tensor_cut_inside_its_dims(tmp_path):
     path = tmp_path / "t.adft"
     path.write_bytes(b"ADFT" + struct.pack("<2I", 2, 3))

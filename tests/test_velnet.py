@@ -112,6 +112,16 @@ def test_stats_features_finite_on_zero_signal():
     assert np.all(np.isfinite(f))
 
 
+def test_create_takes_settings_by_field_name_only():
+    net = VelocityNet.create(0, hidden_dims=(10,), frame_len=8, feat_hop=32)
+    assert (net.frame_len, net.feat_hop, net.layer_dims) == (8, 32,
+                                                             [56, 10, 8])
+    with pytest.raises(TypeError):
+        VelocityNet.create(0, 8)  # no setting binds by position
+    with pytest.raises(TypeError):
+        VelocityNet.create(0, hidden_dim=10)  # not a field
+
+
 # ---------------------------------------------------------------------------
 # Framing and forward pass
 
