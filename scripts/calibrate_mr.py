@@ -38,7 +38,8 @@ def run(n_train: int = 3000, n_eval: int = 300) -> float:
     reg, trace = mr_train(reg, train, TrainConfig(
         lr_init=1e-3, lr_min=1e-5, warmup_epochs=5, t_max_epochs=95,
         weight_decay=0.05, epochs=100, batch_size=64, seed=0))
-    print(f"train: loss {trace[0]:.4f} -> {trace[-1]:.4f} "
+    (_, first), (_, last) = trace[0], trace[-1]
+    print(f"train: loss {first:.4f} -> {last:.4f} "
           f"in {time.time() - t0:.1f}s")
 
     errs = [mr_predict(reg, it.x, it.e) - it.tau for it in held_out]

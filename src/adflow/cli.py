@@ -206,9 +206,9 @@ def cmd_gen_data(cfg: RunConfig) -> Path:
     return out
 
 
-def _loss_csv(path: Path, tc: velnet.TrainConfig, trace: list) -> None:
-    rows = [[str(epoch), repr(float(velnet.lr_for_epoch(tc, epoch))),
-             repr(float(loss))] for epoch, loss in enumerate(trace)]
+def _loss_csv(path: Path, trace: list) -> None:
+    rows = [[str(epoch), repr(lr), repr(loss)]
+            for epoch, (lr, loss) in enumerate(trace)]
     _write_csv(path, ["epoch", "lr", "loss"], rows)
 
 
@@ -221,21 +221,21 @@ def _trained_on(cfg: RunConfig) -> dict:
 def cmd_train_vel(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
     net = velnet.VelocityNet.create(cfg.seed, **_trained_on(cfg))
-    tc = _part(velnet.TrainConfig, cfg)
-    _, trace = velnet.train_velocity(net, _train_dataset(cfg, out), tc,
+    _, trace = velnet.train_velocity(net, _train_dataset(cfg, out),
+                                     _part(velnet.TrainConfig, cfg),
                                      _part(flowpath.PathParams, cfg))
     velnet.save_velnet(out / "velnet.ckpt", net)
-    _loss_csv(out / "train_vel_loss.csv", tc, trace)
+    _loss_csv(out / "train_vel_loss.csv", trace)
     return out
 
 
 def cmd_train_mr(cfg: RunConfig) -> Path:
     out = _prepare_out(cfg)
     reg = mrnet.MrRegressor.create(cfg.seed + 17, **_trained_on(cfg))
-    tc = _part(velnet.TrainConfig, cfg)
-    _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out), tc)
+    _, trace = mrnet.mr_train(reg, _train_dataset(cfg, out),
+                              _part(velnet.TrainConfig, cfg))
     mrnet.save_mrnet(out / "mrnet.ckpt", reg)
-    _loss_csv(out / "train_mr_loss.csv", tc, trace)
+    _loss_csv(out / "train_mr_loss.csv", trace)
     return out
 
 
@@ -381,7 +381,7 @@ def _write_svg(path: Path, xs: list, series: dict, x_label: str) -> None:
 def cmd_nfe_sweep(cfg: RunConfig, ckpt_dir=None, field: str = "net") -> Path:
     """Sweep max_nfe in estimated-tau mode; CSV plus an SVG line chart."""
     out = _prepare_out(cfg)
-    policies = [sampler.NfePolicy(max_nfe=n, epsilon=cfg.epsilon)
+    policies = [dataclasses.replace(_part(sampler.NfePolicy, cfg), max_nfe=n)
                 for n in NFE_SWEEP_VALUES]
     # per max_nfe, the scores of every item, in item order
     per_nfe = [[] for _ in NFE_SWEEP_VALUES]
@@ -449,14 +449,6 @@ def cmd_extract(cfg: RunConfig, in_path, enroll_path, out_wav,
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", help="override output_dir")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a single config key")
-    p.add_argument("--seed", type=int)
-
-
 def _overrides_from(args) -> dict:
     out = {}
     for item in args.set:
@@ -482,18 +474,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive mixing-ratio flow matching for target-source "
                     "extraction (desk scale)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "train-vel", "train-mr"):
-        _add_common(sub.add_parser(name))
-    for name in ("ablate", "nfe-sweep"):
+
+    # a subcommand with the four common arguments; its run(cfg, args) looks
+    # cmd_* up when called, so a wrapper set on this module is the one run
+    def command(name, run):
         p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--checkpoints", help="directory holding *.ckpt "
-                       "(default: output_dir)")
-        if name == "nfe-sweep":
-            p.add_argument("--field", choices=("net", "oracle"),
-                           default="net")
-    p = sub.add_parser("extract")
-    _add_common(p)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--out", help="override output_dir")
+        p.add_argument("--set", metavar="KEY=VALUE", action="append",
+                       default=[], help="override a single config key")
+        p.add_argument("--seed", type=int)
+        p.set_defaults(run=run)
+        return p
+
+    command("gen-data", lambda cfg, a: cmd_gen_data(cfg))
+    command("train-vel", lambda cfg, a: cmd_train_vel(cfg))
+    command("train-mr", lambda cfg, a: cmd_train_mr(cfg))
+    ckpt_help = "directory holding *.ckpt (default: output_dir)"
+    p = command("ablate", lambda cfg, a: cmd_ablate(cfg, a.checkpoints))
+    p.add_argument("--checkpoints", help=ckpt_help)
+    p = command("nfe-sweep", lambda cfg, a: cmd_nfe_sweep(
+        cfg, a.checkpoints, a.field))
+    p.add_argument("--checkpoints", help=ckpt_help)
+    p.add_argument("--field", choices=("net", "oracle"), default="net")
+    p = command("extract", lambda cfg, a: cmd_extract(
+        cfg, a.in_path, a.enroll, a.out_wav, a.reference, a.checkpoints))
     p.add_argument("--checkpoints")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--enroll", required=True)
@@ -504,20 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config, _overrides_from(args))
-    if args.command == "gen-data":
-        cmd_gen_data(cfg)
-    elif args.command == "train-vel":
-        cmd_train_vel(cfg)
-    elif args.command == "train-mr":
-        cmd_train_mr(cfg)
-    elif args.command == "ablate":
-        cmd_ablate(cfg, args.checkpoints)
-    elif args.command == "nfe-sweep":
-        cmd_nfe_sweep(cfg, args.checkpoints, args.field)
-    elif args.command == "extract":
-        cmd_extract(cfg, args.in_path, args.enroll, args.out_wav,
-                    args.reference, args.checkpoints)
+    args.run(load_config(args.config, _overrides_from(args)), args)
 
 
 def main(argv=None) -> int:

@@ -142,7 +142,7 @@ def _loss_and_grad(reg: MrRegressor, fx, fe, taus):
 
 
 def mr_train(reg: MrRegressor, dataset, config: TrainConfig):
-    """MSE training against ground-truth tau; returns (reg, loss_trace).
+    """MSE training against ground-truth tau; returns (reg, fit's trace).
 
     The features of every item are taken in one pass over `dataset`, a
     sequence of MixtureItems, which is not read again, and written into
@@ -191,5 +191,6 @@ def load_mrnet(path) -> MrRegressor:
         return [(embed, 3 * (m["feat_n_fft"] // 2 + 1) + 1), (embed,),
                 (hidden, 2 * embed), (hidden,), (hidden,), (1,)]
 
-    meta, tensors = read_checkpoint(path, _MR_HEADER, shapes, np.float64)
+    keys = ("embed_dim", "hidden_dim", *_MR_FIELDS)
+    meta, tensors = read_checkpoint(path, _MR_HEADER, keys, shapes, np.float64)
     return MrRegressor(*tensors, **{key: meta[key] for key in _MR_FIELDS})

@@ -744,14 +744,15 @@ _CHECKPOINT_HEADER_LIMIT = 4096
 _kept_checkpoints: dict = {}
 
 
-def read_checkpoint(path, magic: str, shapes, dtype="<f4") -> tuple:
+def read_checkpoint(path, magic: str, keys, shapes, dtype="<f4") -> tuple:
     """(meta, tensors) of a `write_checkpoint` file, tensors read-only and
     in `dtype`. A header value is an int, or a tuple of ints where it holds
-    commas; `sample_rate_hz` must be there, and `feat_n_fft` with
-    `feat_hop` must be a framing `stft` runs. `shapes(meta)` lists the
-    tensor shapes or raises ValueError. The file must be exactly as long as
-    its header declares. While a file's bytes equal those of the last
-    checkpoint read of its magic, that one's tensors are returned."""
+    commas. The header holds exactly `keys`, each once, and `feat_n_fft`
+    with `feat_hop` must be a framing `stft` runs.
+    `shapes(meta)` lists the tensor shapes or raises ValueError. The file
+    must be exactly as long as its header declares. While a file's bytes
+    equal those of the last checkpoint read of its magic, that one's
+    tensors are returned."""
     with open(path, "rb") as f:
         line = f.readline(_CHECKPOINT_HEADER_LIMIT + 1)
         if not line.startswith(magic.encode("ascii")):
@@ -763,11 +764,15 @@ def read_checkpoint(path, magic: str, shapes, dtype="<f4") -> tuple:
             meta = {}
             for token in line[len(magic):].decode("ascii").split():
                 key, value = token.split("=")
+                if key in meta:
+                    raise ValueError(f"{key} written twice")
                 meta[key] = (tuple(map(int, value.split(","))) if "," in value
                              else int(value))
+            if set(meta) != set(keys):
+                raise ValueError(
+                    f"missing {[k for k in keys if k not in meta]}, "
+                    f"unknown {[k for k in meta if k not in keys]}")
             _stft_frames(1, meta["feat_n_fft"], meta["feat_hop"])
-            if "sample_rate_hz" not in meta:
-                raise KeyError("sample_rate_hz")
             expected = shapes(meta)
         # TypeError: a tuple where an int belongs, or the other way round
         except (ValueError, KeyError, TypeError, ParameterError) as exc:

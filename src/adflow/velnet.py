@@ -393,13 +393,13 @@ class AdamW:
 
 
 def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
-    """The training loop shared by velnet and mrnet; returns the loss trace.
+    """The training loop shared by velnet and mrnet; returns its trace.
 
     Each epoch shuffles the items and takes one AdamW step per mini-batch
     at the epoch's learning rate, after global-norm clipping.
     `loss_and_grad(idx, rng)` returns (loss, grads ordered like `params`)
-    for the items `idx` and may draw from `rng`. The trace holds the mean
-    batch loss per epoch. Fully deterministic under config.seed.
+    for the items `idx` and may draw from `rng`. The trace holds one pair
+    (lr applied, mean batch loss) per epoch. Deterministic under config.seed.
     """
     rng = np.random.default_rng(config.seed)
     opt = AdamW(params, weight_decay=config.weight_decay)
@@ -417,7 +417,7 @@ def fit(params: list, n_items: int, config: TrainConfig, loss_and_grad):
             opt.step(params, grads, lr)
             del grads  # not held through the next step
             losses.append(loss)
-        trace.append(float(np.mean(losses)))
+        trace.append((lr, float(np.mean(losses))))
     # The loss check runs before each step, so it cannot see the last one;
     # a parameter past float32's range would reach the checkpoint as inf.
     limit = np.finfo(np.float32).max
@@ -455,7 +455,7 @@ class _PathEntry:
 def train_velocity(net: VelocityNet, dataset, config: TrainConfig,
                    path_params: flowpath.PathParams | None = None):
     """Train the velocity field on a sequence of MixtureItems; returns
-    (net, loss_trace).
+    (net, fit's trace).
 
     The net's weights and biases are first cast to float32, the dtype its
     checkpoint stores, so training computes in float32 and leaves `net`
@@ -517,6 +517,7 @@ def load_velnet(path) -> VelocityNet:
                 for shape in ((fan_out, fan_in), (fan_out,))] + \
             [(enroll, 2 * (m["feat_n_fft"] // 2 + 1))]
 
-    meta, (*params, proj) = read_checkpoint(path, _VEL_HEADER, shapes)
+    meta, (*params, proj) = read_checkpoint(
+        path, _VEL_HEADER, ("dims", *_VEL_FIELDS), shapes)
     return VelocityNet(params[0::2], params[1::2], proj, **{
         name: meta[key] for key, name in _VEL_FIELDS.items()})

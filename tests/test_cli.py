@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import inspect
 import io
 import math
 import os
@@ -279,6 +280,14 @@ CORRUPT_CHECKPOINTS = {
         ck / "velnet.ckpt", lambda h: b"ADFLOW-VELNET v1 no pairs here"),
     "mrnet_without_feat_n_fft": lambda ck: _edit_header(
         ck / "mrnet.ckpt", lambda h: re.sub(rb" feat_n_fft=\d+", b"", h)),
+    # a header holds exactly the keys its writer writes, each once
+    "velnet_unknown_key": lambda ck: _edit_header(
+        ck / "velnet.ckpt", lambda h: h + b" sigma_max=5"),
+    "velnet_repeated_key": lambda ck: _edit_header(
+        ck / "velnet.ckpt",
+        lambda h: re.sub(rb"( frame_len=\d+)", rb"\1\1", h)),
+    "mrnet_velnet_keys": lambda ck: _edit_header(
+        ck / "mrnet.ckpt", lambda h: h + b" frame_len=64 dims=252,128,64"),
     # headers and nets that parse but cannot run
     "velnet_feat_hop_zero": lambda ck: _set_header(
         ck / "velnet.ckpt", b"feat_hop", b"0"),
@@ -442,6 +451,29 @@ def test_loss_csvs(run_dir):
         assert len(lines) == 1 + 5  # header + epochs
         losses = [float(line.split(",")[2]) for line in lines[1:]]
         assert losses[-1] < losses[0]
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("train-vel", velnet, "train_vel_loss.csv"),
+    ("train-mr", mrnet, "train_mr_loss.csv")])
+def test_loss_csv_rows_are_fits_records(run_dir, tmp_path, monkeypatch,
+                                        command, module, name):
+    # each row is the (lr, loss) that fit returned for its epoch, as written
+    traces, real_fit = [], module.fit
+
+    def spy(*args):
+        traces.append(real_fit(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(module, "fit", spy)
+    assert main([command, "--config", str(run_dir / "run.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    (trace,) = traces
+    rows = [line.split(",") for line in
+            (tmp_path / name).read_text("utf-8").splitlines()]
+    assert rows[0] == ["epoch", "lr", "loss"]
+    assert rows[1:] == [[str(epoch), repr(lr), repr(loss)]
+                        for epoch, (lr, loss) in enumerate(trace)]
 
 
 def test_checkpoints_loadable(run_dir):
@@ -1117,6 +1149,43 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert main(argv) == 2
     assert main(["ablate", "--out", str(tmp_path), "--set", "max_nfe=0"]) == 2
     assert built == []
+
+
+# command: (its flags, the cmd_* it runs, the arguments besides cfg that the
+# flags give it)
+DISPATCH = {
+    "gen-data": ([], "cmd_gen_data", {}),
+    "train-vel": ([], "cmd_train_vel", {}),
+    "train-mr": ([], "cmd_train_mr", {}),
+    "ablate": (["--checkpoints", "ck"], "cmd_ablate", {"ckpt_dir": "ck"}),
+    "nfe-sweep": (["--checkpoints", "ck", "--field", "oracle"],
+                  "cmd_nfe_sweep", {"ckpt_dir": "ck", "field": "oracle"}),
+    "extract": (["--checkpoints", "ck", "--in", "x.wav", "--enroll", "e.wav",
+                 "--out-wav", "o.wav", "--reference", "s1.wav"],
+                "cmd_extract", {"ckpt_dir": "ck", "in_path": "x.wav",
+                                "enroll_path": "e.wav", "out_wav": "o.wav",
+                                "reference": "s1.wav"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DISPATCH))
+def test_each_command_runs_its_cmd_at_call_time(tmp_path, monkeypatch,
+                                                command):
+    # a wrapper set on the module after the parser was built is the function
+    # run, with the arguments its flags give; the small config keeps a
+    # command that bypasses the wrapper short
+    flags, name, want = DISPATCH[command]
+    cli.build_parser()
+    real, calls = getattr(cli, name), []
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(
+        inspect.signature(real).bind(*args, **kwargs).arguments))
+    assert main([command, "--out", str(tmp_path), "--seed", "7",
+                 "--set", "n_train=1", "--set", "n_eval=1",
+                 "--set", "epochs=1", *flags]) == 0
+    (got,) = calls
+    cfg = got.pop("cfg")
+    assert (cfg.output_dir, cfg.seed, cfg.n_train) == (str(tmp_path), 7, 1)
+    assert got == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -751,7 +751,8 @@ def test_write_checkpoint_header_cap(tmp_path, past):
         signal.write_checkpoint(path, "M", meta, [np.ones(2)])
         assert path.read_bytes().index(b"\n") == \
             signal._CHECKPOINT_HEADER_LIMIT
-        back, (t,) = signal.read_checkpoint(path, "M", lambda m: [(2,)])
+        back, (t,) = signal.read_checkpoint(path, "M", tuple(meta),
+                                            lambda m: [(2,)])
         assert back == meta and np.array_equal(t, np.ones(2))
         return
     with pytest.raises(ParameterError, match="above 4096"):

@@ -523,8 +523,9 @@ def test_training_reduces_loss():
     cfg = TrainConfig(lr_init=1e-3, lr_min=1e-4, epochs=50, batch_size=32,
                       seed=0)
     _, trace = train_velocity(net, items, cfg)
-    assert len(trace) == 50
-    assert trace[-1] < trace[0]
+    losses = [loss for _, loss in trace]
+    assert len(losses) == 50
+    assert losses[-1] < losses[0]
 
 
 def test_training_runs_in_float32(monkeypatch):
@@ -547,7 +548,7 @@ def test_training_runs_in_float32(monkeypatch):
     assert net.enroll_proj.dtype == np.float64
     assert len(steps) == 4
     assert all(d == np.float32 for dtypes in steps for d in dtypes)
-    assert all(np.isfinite(trace))
+    assert all(np.isfinite(loss) for _, loss in trace)
 
 
 def test_training_never_mixes_x(monkeypatch):
@@ -631,6 +632,26 @@ def test_fit_drops_each_steps_gradients():
     assert len(applied) == 4
 
 
+def test_fit_records_each_epochs_applied_lr_and_mean_loss(monkeypatch):
+    applied, real_step = [], AdamW.step
+
+    def recording_step(self, params, grads, lr):
+        applied.append(lr)
+        return real_step(self, params, grads, lr)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    # two steps per epoch, whose losses (the sums of the item indices) have
+    # the mean 3, through warmup, annealing and the held lr_min
+    cfg = TrainConfig(lr_init=1e-2, lr_min=1e-3, warmup_epochs=2,
+                      t_max_epochs=3, batch_size=2, epochs=7, grad_clip=10.0)
+    trace = velnet.fit([np.zeros(3)], 4, cfg, lambda idx, rng: (
+        float(np.sum(idx)), [np.ones(3)]))
+    assert applied[0::2] == applied[1::2]
+    assert [lr for lr, _ in trace] == applied[0::2] == \
+        [lr_for_epoch(cfg, epoch) for epoch in range(7)]
+    assert [loss for _, loss in trace] == [3.0] * 7
+
+
 def test_single_pair_convergence_predicts_difference():
     # Deterministic path: the regression target is the constant s1 - b, so a
     # net trained to convergence on one fixed pair must reproduce it
@@ -654,7 +675,7 @@ def test_training_with_noisy_path_runs():
     net = VelocityNet.create(0)
     _, trace = train_velocity(net, items, TrainConfig(epochs=2, seed=0),
                               PathParams(0.01, 0.1))
-    assert all(np.isfinite(trace))
+    assert all(np.isfinite(loss) for _, loss in trace)
 
 
 # ---------------------------------------------------------------------------
