@@ -29,13 +29,14 @@ only is reported as `ONLY IN <side>: path`. Every process runs with
 warnings as errors (`-W error`), and a temp file `.<name>.*.tmp` that an
 output's atomic write leaves on either side is reported as `TEMP FILE LEFT
 in <side>: path`. For each CSV that differs, it prints the largest relative
-difference over its numeric cells and the column it occurs in, and for
-each checkpoint that differs, the largest relative difference over the
-values of its tensors and the index of the tensor, so an intended numeric
-change shows its size. It also prints the
-line count of `src/adflow/*.py` (as `wc -l` counts it) at REV and in the
-working tree. Exits 0 when all match, 1 on any difference, a one-sided
-file, a reuse difference or a temp file left included.
+and the largest absolute difference over its numeric cells, each with the
+column it occurs in, and for each checkpoint that differs, the same two
+over the values of its tensors, each with the index of its tensor, so an
+intended numeric change shows its size (a relative one alone overstates a
+change to values near 0). It also prints the line count of
+`src/adflow/*.py` (as `wc -l` counts it) at REV and in the working tree.
+Exits 0 when all match, 1 on any difference, a one-sided file, a reuse
+difference or a temp file left included.
 
 Usage: python3 scripts/check_identity.py REV
 """
@@ -154,16 +155,26 @@ def files_under(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def largest(diffs: list, kind: str) -> str:
+    """The largest relative and the largest absolute of `diffs`, a list of
+    (relative, absolute, where) differences, each with where it occurs."""
+    rel = max(diffs, key=lambda d: d[0], default=(0.0, 0.0, None))
+    diff = max(diffs, key=lambda d: d[1], default=(0.0, 0.0, None))
+    return (f"largest relative difference {rel[0]:.2g} in {kind} {rel[2]}, "
+            f"largest absolute difference {diff[1]:.2g} in {kind} {diff[2]}")
+
+
 def csv_difference(new: bytes, old: bytes) -> str:
-    """The largest relative difference over the numeric cells of two CSVs,
-    with its column, or what keeps them from being compared cell by cell."""
+    """The largest relative and absolute differences over the numeric cells
+    of two CSVs, with their columns, or what keeps them from being compared
+    cell by cell."""
     a = list(csv.reader(new.decode("utf-8").splitlines()))
     b = list(csv.reader(old.decode("utf-8").splitlines()))
     if a[:1] != b[:1]:
         return "headers differ"
     if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
         return "shapes differ"
-    worst, column = 0.0, None
+    diffs = []
     for r, s in zip(a[1:], b[1:]):
         for name, u, v in zip(a[0], r, s):
             if u == v:
@@ -174,10 +185,8 @@ def csv_difference(new: bytes, old: bytes) -> str:
                 return f"text differs in column {name}"
             if not (math.isfinite(x) and math.isfinite(y)):
                 return f"non-finite value differs in column {name}"
-            rel = abs(x - y) / max(abs(x), abs(y))
-            if rel > worst:
-                worst, column = rel, name
-    return f"largest relative difference {worst:.2g} in column {column}"
+            diffs.append((abs(x - y) / max(abs(x), abs(y)), abs(x - y), name))
+    return largest(diffs, "column")
 
 
 def ckpt_tensors(data: bytes) -> list:
@@ -191,9 +200,9 @@ def ckpt_tensors(data: bytes) -> list:
 
 
 def ckpt_difference(new: bytes, old: bytes) -> str:
-    """The largest relative difference over the tensor values of two
-    checkpoints, with the tensor's index, or what keeps them from being
-    compared value by value."""
+    """The largest relative and absolute differences over the tensor values
+    of two checkpoints, with their tensors' indices, or what keeps them from
+    being compared value by value."""
     if new.split(b"\n", 1)[0] != old.split(b"\n", 1)[0]:
         return "headers differ"
     try:
@@ -202,16 +211,16 @@ def ckpt_difference(new: bytes, old: bytes) -> str:
         return f"tensors unreadable ({exc})"
     if [t.shape for t in a] != [t.shape for t in b]:
         return "tensor shapes differ"
-    worst, index = 0.0, None
+    diffs = []
     for i, (x, y) in enumerate(zip(a, b)):
         x, y = x.astype(np.float64), y.astype(np.float64)
         differ = x != y
         if np.any(differ):
-            rel = np.max(np.abs(x - y)[differ]
-                         / np.maximum(np.abs(x), np.abs(y))[differ])
-            if rel > worst:
-                worst, index = float(rel), i
-    return f"largest relative difference {worst:.2g} in tensor {index}"
+            diff = np.abs(x - y)[differ]
+            diffs.append((float(np.max(
+                diff / np.maximum(np.abs(x), np.abs(y))[differ])),
+                float(np.max(diff)), i))
+    return largest(diffs, "tensor")
 
 
 def main(rev: str) -> int:

@@ -155,6 +155,56 @@ class Spectrogram:
 # ---------------------------------------------------------------------------
 # Synthesis
 
+def _fundamental(identity: SpeakerIdentity, n: int,
+                 sample_rate_hz: int) -> np.ndarray:
+    """exp(i·phase) over n samples, where phase is that of the identity's
+    fundamental with its vibrato."""
+    phase = np.arange(n) / sample_rate_hz
+    f0, rate, depth = (identity.fundamental_hz, identity.vibrato_rate_hz,
+                       identity.vibrato_depth)
+    if rate > 0:
+        # integral of f0 * (1 + depth*sin(2 pi rate t))
+        phase += depth * (1.0 - np.cos(2 * np.pi * rate * phase)) / (
+            2 * np.pi * rate)
+    phase *= 2 * np.pi * f0
+    z = np.empty(n, complex)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    return z
+
+
+def _voice(identity: SpeakerIdentity, z: np.ndarray, duration_s: float,
+           sample_rate_hz: int, seed: int) -> Waveform:
+    """`synth_source` over the identity's fundamental phasor z."""
+    rng = np.random.default_rng([identity.id_seed, int(seed) & 0x7FFFFFFF])
+    n = z.size
+    # harmonic k is amp·sin(k·phase + off) = Im(amp·exp(i·off)·z^k); the
+    # sum over k is evaluated by Horner's rule, one multiply by z per term
+    coefs = [amp * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+             for amp in identity.harmonic_amps]
+    acc = z * coefs[-1]
+    for c in reversed(coefs[:-1]):
+        acc += c
+        acc *= z
+    sig = acc.imag.copy()
+    del acc
+
+    # slow random amplitude envelope: log-normal control points ~6 Hz
+    # apart, spread evenly from the first sample to the last, joined by lines
+    n_ctrl = max(4, int(duration_s * 6) + 2)
+    ctrl = 0.3 * rng.normal(size=n_ctrl)
+    env = np.arange(n) * ((n_ctrl - 1) / max(n - 1, 1))  # on the control grid
+    ends = [*np.searchsorted(env, np.arange(1, n_ctrl - 1)), n]
+    for m, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        seg = env[lo:hi]
+        seg -= m
+        seg *= ctrl[m + 1] - ctrl[m]
+        seg += ctrl[m]
+    sig *= np.exp(env, out=env)
+    sig /= np.sqrt(np.mean(sig ** 2))
+    return Waveform(sig, sample_rate_hz)
+
+
 def synth_source(identity: SpeakerIdentity, duration_s: float,
                  sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
                  seed: int = 0) -> Waveform:
@@ -162,30 +212,8 @@ def synth_source(identity: SpeakerIdentity, duration_s: float,
     n = int(round(duration_s * sample_rate_hz))
     if n <= 0:
         raise ParameterError("duration too short for the sample rate")
-    rng = np.random.default_rng([identity.id_seed, int(seed) & 0x7FFFFFFF])
-    t = np.arange(n) / sample_rate_hz
-
-    f0, rate, depth = (identity.fundamental_hz, identity.vibrato_rate_hz,
-                       identity.vibrato_depth)
-    if rate > 0:
-        # integral of f0 * (1 + depth*sin(2 pi rate t))
-        phase = 2 * np.pi * f0 * (
-            t + depth * (1.0 - np.cos(2 * np.pi * rate * t)) / (2 * np.pi * rate))
-    else:
-        phase = 2 * np.pi * f0 * t
-
-    sig = np.zeros(n)
-    for k, amp in enumerate(identity.harmonic_amps, start=1):
-        sig += amp * np.sin(k * phase + rng.uniform(0.0, 2 * np.pi))
-
-    # slow random amplitude envelope (~6 Hz control points, log-normal)
-    n_ctrl = max(4, int(duration_s * 6) + 2)
-    ctrl = rng.normal(size=n_ctrl)
-    env = np.exp(0.3 * np.interp(np.linspace(0, 1, n),
-                                 np.linspace(0, 1, n_ctrl), ctrl))
-    sig *= env
-    sig /= np.sqrt(np.mean(sig ** 2))
-    return Waveform(sig, sample_rate_hz)
+    return _voice(identity, _fundamental(identity, n, sample_rate_hz),
+                  duration_s, sample_rate_hz, seed)
 
 
 def synth_background(spec: MixtureSpec, duration_s: float,
@@ -201,11 +229,12 @@ def synth_background(spec: MixtureSpec, duration_s: float,
         noise = rng.standard_normal(n)
         noise /= np.sqrt(np.mean(noise ** 2))
         acc += spec.noise_weight * noise
+        del noise
     for i, (ident, w) in enumerate(spec.interferers):
         if w > 0:
-            src = synth_source(ident, duration_s, sample_rate_hz,
-                               seed=(int(seed) * 8191 + 101 * (i + 1)) & 0x7FFFFFFF)
-            acc += w * src.samples
+            acc += w * synth_source(
+                ident, duration_s, sample_rate_hz,
+                seed=(int(seed) * 8191 + 101 * (i + 1)) & 0x7FFFFFFF).samples
     acc /= np.sqrt(np.mean(acc ** 2))
     return Waveform(acc, sample_rate_hz)
 
@@ -284,12 +313,14 @@ def _draw_item(rng: np.random.Generator, fixed_tau):
 def _synth_item(plan, cfg: DatasetConfig) -> tuple:
     """The (s1, e, b) waveforms of one planned item."""
     spec, src_seed, enr_seed, bg_seed = plan
-    return (synth_source(spec.target, cfg.duration_s, cfg.sample_rate_hz,
-                         src_seed),
-            synth_source(spec.target, cfg.duration_s, cfg.sample_rate_hz,
-                         enr_seed),
-            synth_background(spec, cfg.duration_s, cfg.sample_rate_hz,
-                             bg_seed))
+    # s1 and e are two draws of one identity over one fundamental phasor,
+    # dropped before the background is synthesized
+    z = _fundamental(spec.target, cfg.n_samples, cfg.sample_rate_hz)
+    s1, e = (_voice(spec.target, z, cfg.duration_s, cfg.sample_rate_hz, seed)
+             for seed in (src_seed, enr_seed))
+    del z
+    return s1, e, synth_background(spec, cfg.duration_s, cfg.sample_rate_hz,
+                                   bg_seed)
 
 
 class StoredDataset(Sequence):

@@ -117,6 +117,69 @@ def test_synth_source_rejects_bad_duration():
         synth_source(ident(0), -1.0, SR)
 
 
+def _reference_source(identity, duration_s, seed):
+    """synth_source in closed form, with the same draws in the same order:
+    one np.sin per harmonic, and the envelope through np.interp."""
+    n = round(duration_s * SR)
+    rng = np.random.default_rng([identity.id_seed, seed & 0x7FFFFFFF])
+    t = np.arange(n) / SR
+    f0, rate, depth = (identity.fundamental_hz, identity.vibrato_rate_hz,
+                       identity.vibrato_depth)
+    phase = 2 * np.pi * f0 * t
+    if rate > 0:
+        phase = 2 * np.pi * f0 * (t + depth * (
+            1.0 - np.cos(2 * np.pi * rate * t)) / (2 * np.pi * rate))
+    sig = sum(amp * np.sin(k * phase + rng.uniform(0.0, 2 * np.pi))
+              for k, amp in enumerate(identity.harmonic_amps, start=1))
+    n_ctrl = max(4, int(duration_s * 6) + 2)
+    ctrl = rng.normal(size=n_ctrl)
+    sig = sig * np.exp(0.3 * np.interp(np.linspace(0, 1, n),
+                                       np.linspace(0, 1, n_ctrl), ctrl))
+    return sig / np.sqrt(np.mean(sig ** 2))
+
+
+@st.composite
+def _identities(draw):
+    raw = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=2,
+                                 max_size=6)))
+    amps = raw / raw.sum()
+    return SpeakerIdentity(
+        fundamental_hz=draw(st.floats(80.0, 400.0)),
+        harmonic_amps=tuple(amps / amps.sum()),
+        vibrato_rate_hz=draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0))),
+        vibrato_depth=draw(st.floats(0.0, 0.05)),
+        id_seed=draw(st.integers(0, 2 ** 31 - 1)))
+
+
+# 3 and 4 samples are n_ctrl - 1 and n_ctrl at their durations; 8,000 and
+# 8,002 are the lengths of 0.5 s and 0.5001 s
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_identities(), st.sampled_from([1, 2, 3, 4, 8000, 8002]),
+       st.integers(0, 2 ** 32 - 1))
+def test_synth_source_matches_closed_form(identity, n, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = synth_source(identity, n / SR, SR, seed)
+    assert len(w) == n
+    assert np.max(np.abs(w.samples - _reference_source(identity, n / SR,
+                                                       seed))) <= 1e-10
+    assert abs(_rms(w) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("duration_s", [0.125, 0.5001])
+def test_synth_item_sources_equal_synth_source(duration_s):
+    # s1 and e share one phasor; each is still exactly its own synth_source
+    cfg = DatasetConfig(duration_s=duration_s)
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        plan = signal._draw_item(rng, None)
+        spec, src_seed, enr_seed, _ = plan
+        s1, e, _ = signal._synth_item(plan, cfg)
+        for w, seed in ((s1, src_seed), (e, enr_seed)):
+            assert w.samples.tobytes() == synth_source(
+                spec.target, duration_s, SR, seed).samples.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # synth_background
 
@@ -289,19 +352,17 @@ def test_store_hit_equals_synthesis(tmp_path):
 def test_store_hit_synthesizes_item_zero_only(tmp_path, monkeypatch):
     store = tmp_path / "set.adfd"
     make_dataset(4, "uniform", CFG, seed=6, store=store)
-    calls = []
-    real_synth_source = signal.synth_source
+    item_zero = make_dataset(1, "uniform", CFG, seed=6)[0]  # of the same set
+    plans = []
+    real_synth_item = signal._synth_item
 
-    def counting_synth_source(*args, **kwargs):
-        calls.append(1)
-        return real_synth_source(*args, **kwargs)
+    def counting_synth_item(plan, cfg):
+        plans.append(plan)
+        return real_synth_item(plan, cfg)
 
-    monkeypatch.setattr(signal, "synth_source", counting_synth_source)
-    make_dataset(1, "uniform", CFG, seed=6)  # item 0 of the same set
-    item_zero = len(calls)
-    calls.clear()
+    monkeypatch.setattr(signal, "_synth_item", counting_synth_item)
     make_dataset(4, "uniform", CFG, seed=6, store=store)
-    assert item_zero >= 3 and len(calls) == item_zero
+    assert [plan[0] for plan in plans] == [item_zero.spec]
 
 
 def _payload_start(data: bytes) -> int:
