@@ -115,20 +115,14 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _coerce(key, str(value))
     cfg = RunConfig(**values)
-    try:
+    try:  # effective_config.txt, written in UTF-8, must reproduce the run
         cfg.output_dir.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ConfigError(f"output_dir {cfg.output_dir!r} is not "
-                          "UTF-8") from exc
-    if "\0" in cfg.output_dir:
-        raise ConfigError(f"output_dir {cfg.output_dir!r} holds a NUL")
-    try:  # effective_config.txt must reproduce the run
         read_back = parse_config_text(f"output_dir={cfg.output_dir}")
-    except ConfigError:
+    except (ConfigError, UnicodeEncodeError):
         read_back = None
-    if read_back != {"output_dir": cfg.output_dir}:
-        raise ConfigError(f"output_dir {cfg.output_dir!r} would not read "
-                          "back from effective_config.txt as it is")
+    if read_back != {"output_dir": cfg.output_dir} or "\0" in cfg.output_dir:
+        raise ConfigError(f"output_dir {cfg.output_dir!r} is not a path that "
+                          "reads back from effective_config.txt as it is")
     try:
         # each part checks its own fields, and _stft_frames the framing
         data, *_ = [_part(cls, cfg) for cls in _PARTS]
@@ -137,13 +131,12 @@ def load_config(path=None, overrides=None) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     for key in ("n_train", "n_eval"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be positive, got "
-                              f"{getattr(cfg, key)}")
-        if getattr(cfg, key) * n_samples > MAX_DATASET_SAMPLES:
-            raise ConfigError(f"{key}={getattr(cfg, key)} items of "
-                              f"{n_samples} samples are above "
-                              f"{MAX_DATASET_SAMPLES} samples")
+        n = getattr(cfg, key)
+        if n < 1:
+            raise ConfigError(f"{key} must be positive, got {n}")
+        if n * n_samples > MAX_DATASET_SAMPLES:
+            raise ConfigError(f"{key}={n} items of {n_samples} samples are "
+                              f"above {MAX_DATASET_SAMPLES} samples")
     return cfg
 
 

@@ -18,8 +18,9 @@ from .errors import DegenerateInputError
 # so that perfbench's tracer, which rebinds them in this module, finds them:
 # spectra come from spectral_record and training runs in velnet.fit.
 from .signal import (DEFAULT_HOP, DEFAULT_N_FFT,  # noqa: F401
-                     DEFAULT_SAMPLE_RATE, Waveform, read_checkpoint,
-                     samples_of, spectral_record, stft, write_checkpoint)
+                     DEFAULT_SAMPLE_RATE, Waveform, _stft_frames,
+                     read_checkpoint, samples_of, spectral_record, stft,
+                     write_checkpoint)
 from .velnet import (AdamW, TrainConfig, clip_gradients,  # noqa: F401
                      fit, stats_features)
 
@@ -179,12 +180,11 @@ def save_mrnet(path, reg: MrRegressor) -> None:
 
 
 def load_mrnet(path) -> MrRegressor:
-    """Read a checkpoint; a malformed one raises FileFormatError.
-
-    The float32 tensors are upcast: the regressor computes in float64, which
-    costs little next to the velocity field and keeps tau_hat as it was.
-    """
+    """Read a checkpoint; a malformed one raises FileFormatError. The float32
+    tensors are upcast: the regressor computes in float64, which costs
+    little next to the velocity field and keeps tau_hat as it was."""
     def shapes(m):  # in the order of MrRegressor.parameters
+        _stft_frames(1, m["feat_n_fft"], m["feat_hop"])  # a framing stft runs
         embed, hidden = m["embed_dim"], m["hidden_dim"]
         if min(embed, hidden) < 1:  # a zero-width layer holds no weights
             raise ValueError(f"embed_dim={embed}, hidden_dim={hidden}")

@@ -358,19 +358,19 @@ class StoredDataset(Sequence):
                              for arr in waves), self._plans[i][0])
 
 
-def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
+def _verified_store(path, header, plans: list, cfg: DatasetConfig):
     """The store at `path` opened to read, or None when it is missing,
-    unreadable or fails a check: header, exact length, CRC-32 of the
-    payload, finite samples, and item 0 synthesized again matching its
-    stored bytes (which catches changed synthesis code or libm). The checks
-    take one pass over the file, one waveform at a time."""
-    n = cfg.n_samples
+    unreadable or fails a check: header `header(crc)`, exact length, CRC-32
+    of the payload, finite samples, and item 0 synthesized again matching
+    its stored bytes (which catches changed synthesis code or libm). The
+    checks take one pass over the file, one waveform at a time."""
+    n, blank = cfg.n_samples, header(0)
     with contextlib.ExitStack() as stack:
         try:
             f = stack.enter_context(open(path, "rb", buffering=0))
-            header = f.read(len(prefix) + 9)
-            if (not header.startswith(prefix) or os.fstat(f.fileno()).st_size
-                    != len(header) + 3 * 8 * n * len(plans)):
+            line = f.read(len(blank))  # compared up to its CRC's 8 digits
+            if (line[:-9] != blank[:-9] or os.fstat(f.fileno()).st_size
+                    != len(blank) + 3 * 8 * n * len(plans)):
                 return None
             first = [w.samples.tobytes() for w in _synth_item(plans[0], cfg)]
             stored = np.empty(n, "<f8")
@@ -381,7 +381,7 @@ def _verified_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
                         or k < 3 and stored.tobytes() != first[k]):
                     return None
                 crc = zlib.crc32(stored, crc)
-            if header[len(prefix):] != b"%08x\n" % crc:
+            if line != header(crc):
                 return None
         except OSError:
             return None
@@ -422,21 +422,21 @@ def write_lines(path, lines: list) -> None:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _write_store(path, prefix: bytes, plans: list, cfg: DatasetConfig):
+def _write_store(path, header, plans: list, cfg: DatasetConfig):
     """Atomically replace the store at `path` with the planned items,
     synthesized and written one at a time, and return the new file opened
-    to read. The header's CRC-32 is written last."""
+    to read. The header `header(crc)` is rewritten with the CRC-32 last."""
     with contextlib.ExitStack() as stack:
         with _atomic_open(path) as f:
-            f.write(prefix + b"%08x\n" % 0)
+            f.write(header(0))
             crc = 0
             for plan in plans:
                 for w in _synth_item(plan, cfg):
                     arr = w.samples.astype("<f8", copy=False)
                     crc = zlib.crc32(arr, crc)
                     f.write(arr)
-            f.seek(len(prefix))
-            f.write(b"%08x" % crc)
+            f.seek(0)
+            f.write(header(crc))
             # the temp file's inode, which os.replace moves to `path`
             reader = stack.enter_context(open(f.name, "rb", buffering=0))
         stack.pop_all()
@@ -473,15 +473,16 @@ def make_dataset(n_items: int, tau_sampler, config: DatasetConfig | None = None,
     plans = [_draw_item(rng, fixed_tau) for _ in range(n_items)]
     if store is None:
         return [MixtureItem(*_synth_item(plan, cfg), plan[0]) for plan in plans]
-    sampler = tau_sampler if fixed_tau is None else repr(fixed_tau)
-    prefix = (f"{_STORE_MAGIC} n_items={n_items} tau_sampler={sampler} "
-              f"seed={seed} duration_s={float(cfg.duration_s)!r} "
-              f"sample_rate_hz={cfg.sample_rate_hz} "
-              f"numpy={np.__version__} crc32=").encode()
-    f = _verified_store(store, prefix, plans, cfg)
-    if f is None:
-        f = _write_store(store, prefix, plans, cfg)
-    return StoredDataset(store, f, len(prefix) + 9, plans, cfg)
+    key = {"n_items": n_items,
+           "tau_sampler": tau_sampler if fixed_tau is None else repr(fixed_tau),
+           "seed": seed, "duration_s": repr(float(cfg.duration_s)),
+           "sample_rate_hz": cfg.sample_rate_hz, "numpy": np.__version__}
+
+    def header(crc: int) -> bytes:
+        return _header_line(_STORE_MAGIC, {**key, "crc32": "%08x" % crc})
+    f = (_verified_store(store, header, plans, cfg)
+         or _write_store(store, header, plans, cfg))
+    return StoredDataset(store, f, len(header(0)), plans, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +633,7 @@ def istft(s: Spectrogram, out_len: int,
     nf = s.frames.shape[1]
     frames_t = np.fft.irfft(s.frames, n=n_fft, axis=0)
     total = (nf - 1) * hop + n_fft
-    num = np.zeros(total)
-    den = np.zeros(total)
+    num, den = np.zeros(total), np.zeros(total)
     for m in range(nf):
         sl = slice(m * hop, m * hop + n_fft)
         num[sl] += win * frames_t[:, m]
@@ -647,13 +647,20 @@ def istft(s: Spectrogram, out_len: int,
 # ---------------------------------------------------------------------------
 # WAV (16-bit PCM mono), raw tensor ("ADFT") and checkpoint files
 
+def _check_wav(path, rate: int, n: int, error) -> None:
+    """Raise `error` for a WAV that `write_wav` must not write and `read_wav`
+    refuses: a rate or sample count below 1 or above its cap."""
+    if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+        raise error(f"{path}: WAV declares {rate} Hz, below 1 or above "
+                    f"{MAX_SAMPLE_RATE_HZ}")
+    if not 1 <= n <= MAX_WAVEFORM_SAMPLES:
+        raise error(f"{path}: empty WAV file" if n < 1 else f"{path}: WAV "
+                    f"declares {n} samples, above {MAX_WAVEFORM_SAMPLES}")
+
+
 def write_wav(path, w: Waveform) -> None:
-    """16-bit PCM mono; ParameterError past `read_wav`'s rate or length cap."""
-    if w.sample_rate_hz > MAX_SAMPLE_RATE_HZ:
-        raise ParameterError(f"sample_rate_hz={w.sample_rate_hz} is above "
-                             f"{MAX_SAMPLE_RATE_HZ}")
-    if len(w) > MAX_WAVEFORM_SAMPLES:
-        raise ParameterError(f"{len(w)} samples, above {MAX_WAVEFORM_SAMPLES}")
+    """16-bit PCM mono; ParameterError for a WAV `read_wav` refuses."""
+    _check_wav(path, w.sample_rate_hz, len(w), ParameterError)
     ints = np.clip(np.round(w.samples / WAV_FULL_SCALE * 32767.0),
                    -32768, 32767).astype("<i2")
     with _atomic_open(path) as f, wave.open(f, "wb") as out:
@@ -665,20 +672,15 @@ def write_wav(path, w: Waveform) -> None:
 
 def read_wav(path) -> Waveform:
     """Read a 16-bit PCM mono WAV; FileFormatError for a malformed or
-    truncated one, or one past MAX_SAMPLE_RATE_HZ or MAX_WAVEFORM_SAMPLES."""
+    truncated one, or one `_check_wav` refuses."""
     try:
         with wave.open(str(path), "rb") as f:
             if f.getnchannels() != 1:
                 raise FileFormatError(f"{path}: expected mono WAV")
             if f.getsampwidth() != 2:
                 raise FileFormatError(f"{path}: expected 16-bit PCM")
-            rate = f.getframerate()
-            if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
-                raise FileFormatError(f"{path}: WAV declares {rate} Hz")
-            n_frames = f.getnframes()
-            if n_frames > MAX_WAVEFORM_SAMPLES:
-                raise FileFormatError(f"{path}: declares {n_frames} samples, "
-                                      f"above {MAX_WAVEFORM_SAMPLES}")
+            rate, n_frames = f.getframerate(), f.getnframes()
+            _check_wav(path, rate, n_frames, FileFormatError)
             raw = f.readframes(n_frames)
     # wave reports a file cut inside its header as EOFError, and a chunk
     # size that runs past the end of the file as RuntimeError
@@ -688,22 +690,20 @@ def read_wav(path) -> Waveform:
         raise FileFormatError(f"{path}: truncated WAV data: the header "
                               f"declares {n_frames} samples, the file holds "
                               f"{len(raw)} bytes of them")
-    ints = np.frombuffer(raw, dtype="<i2")
-    if ints.size == 0:
-        raise FileFormatError(f"{path}: empty WAV file")
-    return Waveform(ints.astype(np.float64) * (WAV_FULL_SCALE / 32767.0), rate)
+    return Waveform(np.frombuffer(raw, "<i2") * (WAV_FULL_SCALE / 32767), rate)
 
 
 def write_tensor_stream(f, arr: np.ndarray) -> None:
-    """One ADFT tensor; ParameterError for a rank `_parse_tensor` refuses."""
-    arr = np.asarray(arr, dtype="<f4")
-    if arr.ndim > _MAX_TENSOR_RANK:
-        raise ParameterError(f"tensor rank {arr.ndim} exceeds "
-                             f"{_MAX_TENSOR_RANK}")
-    f.write(_TENSOR_MAGIC)
-    f.write(struct.pack("<I", arr.ndim))
-    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    f.write(arr.tobytes(order="C"))
+    """One ADFT tensor, or ParameterError for one `_parse_tensor` refuses."""
+    with np.errstate(over="ignore"):  # past float32's range, it is refused
+        arr = np.asarray(arr, dtype="<f4")
+    data = b"".join([_TENSOR_MAGIC, struct.pack(f"<{arr.ndim + 1}I", arr.ndim,
+                                                *arr.shape), arr.tobytes()])
+    try:
+        _parse_tensor(data)
+    except FileFormatError as exc:
+        raise ParameterError(str(exc)) from None
+    f.write(data)
 
 
 def _parse_tensor(buf, pos: int = 0, shape: tuple | None = None) -> tuple:
@@ -743,8 +743,7 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """The one tensor of a `write_tensor` file, read-only."""
-    with open(path, "rb") as f:
-        data = f.read()
+    data = Path(path).read_bytes()
     tensor, end = _parse_tensor(data)
     if end != len(data):
         raise FileFormatError(f"{path}: {len(data) - end} bytes follow "
@@ -752,22 +751,44 @@ def read_tensor(path) -> np.ndarray:
     return tensor
 
 
+# Longest header line of a checkpoint or a store, newline aside.
+_CHECKPOINT_HEADER_LIMIT = 4096
+
+
+def _header_line(magic: str, fields: dict) -> bytes:
+    """`magic key=value ...` and a newline; ParameterError past the cap."""
+    line = " ".join([magic, *(f"{k}={v}" for k, v in fields.items())])
+    if len(line) > _CHECKPOINT_HEADER_LIMIT:
+        raise ParameterError(f"header of {len(line)} bytes is above "
+                             f"{_CHECKPOINT_HEADER_LIMIT}")
+    return line.encode("ascii") + b"\n"
+
+
+def _checkpoint_meta(fields: bytes) -> dict:
+    """A checkpoint header's `key=value` fields after its magic; ValueError
+    unless each value is an int, or ints joined by commas, once per key."""
+    meta = {}
+    for key, value in (t.split("=") for t in fields.decode("ascii").split()):
+        if key in meta:
+            raise ValueError(f"{key} written twice")
+        meta[key] = (tuple(map(int, value.split(","))) if "," in value
+                     else int(value))
+    return meta
+
+
 def write_checkpoint(path, magic: str, meta: dict, tensors: list) -> None:
-    """Atomically replace `path` with the header `magic key=value ...` of
-    `meta`, then `tensors`; ParameterError for a header `read_checkpoint`
-    refuses, one past _CHECKPOINT_HEADER_LIMIT."""
-    header = " ".join([magic, *(f"{k}={v}" for k, v in meta.items())])
-    if len(header) > _CHECKPOINT_HEADER_LIMIT:
-        raise ParameterError(f"checkpoint header of {len(header)} bytes is "
-                             f"above {_CHECKPOINT_HEADER_LIMIT}")
+    """Atomically replace `path` with `meta`'s header line, then `tensors`;
+    ParameterError, with no file left, for either that the reader refuses."""
+    try:
+        line = _header_line(magic, meta)
+        _checkpoint_meta(line[len(magic):])
+    except ValueError as exc:
+        raise ParameterError(f"{magic} header: {exc}") from None
     with _atomic_open(path) as f:
-        f.write(header.encode("ascii") + b"\n")
+        f.write(line)
         for t in tensors:
             write_tensor_stream(f, t)
 
-
-# Longest header line a checkpoint may have; adflow writes under 200 bytes.
-_CHECKPOINT_HEADER_LIMIT = 4096
 
 # magic -> (header line, payload, dtype, tensors) of the checkpoint of that
 # kind parsed last; the tensors are read-only. Threads that race on an entry
@@ -777,13 +798,10 @@ _kept_checkpoints: dict = {}
 
 def read_checkpoint(path, magic: str, keys, shapes, dtype="<f4") -> tuple:
     """(meta, tensors) of a `write_checkpoint` file, tensors read-only and
-    in `dtype`. A header value is an int, or a tuple of ints where it holds
-    commas. The header holds exactly `keys`, each once, and `feat_n_fft`
-    with `feat_hop` must be a framing `stft` runs.
-    `shapes(meta)` lists the tensor shapes or raises ValueError. The file
-    must be exactly as long as its header declares. While a file's bytes
-    equal those of the last checkpoint read of its magic, that one's
-    tensors are returned."""
+    in `dtype`. The header holds exactly `keys`; `shapes(meta)` lists the
+    tensor shapes, or raises ValueError or ParameterError for a header its
+    net cannot run. The file must be exactly as long as they declare. While
+    its bytes equal the last ones read of its magic, their tensors return."""
     with open(path, "rb") as f:
         line = f.readline(_CHECKPOINT_HEADER_LIMIT + 1)
         if not line.startswith(magic.encode("ascii")):
@@ -792,21 +810,14 @@ def read_checkpoint(path, magic: str, keys, shapes, dtype="<f4") -> tuple:
             raise FileFormatError(f"{path}: no checkpoint header line within "
                                   f"{_CHECKPOINT_HEADER_LIMIT} bytes")
         try:
-            meta = {}
-            for token in line[len(magic):].decode("ascii").split():
-                key, value = token.split("=")
-                if key in meta:
-                    raise ValueError(f"{key} written twice")
-                meta[key] = (tuple(map(int, value.split(","))) if "," in value
-                             else int(value))
+            meta = _checkpoint_meta(line[len(magic):])
             if set(meta) != set(keys):
                 raise ValueError(
                     f"missing {[k for k in keys if k not in meta]}, "
                     f"unknown {[k for k in meta if k not in keys]}")
-            _stft_frames(1, meta["feat_n_fft"], meta["feat_hop"])
             expected = shapes(meta)
         # TypeError: a tuple where an int belongs, or the other way round
-        except (ValueError, KeyError, TypeError, ParameterError) as exc:
+        except (ValueError, TypeError, ParameterError) as exc:
             raise FileFormatError(f"{path}: bad checkpoint header "
                                   f"({exc!r})") from exc
         # each tensor: magic, rank, dims, float32 data

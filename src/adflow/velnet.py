@@ -23,8 +23,8 @@ from .errors import DivergenceError, ParameterError, ShapeError
 # stft is bound here by name so that perfbench's tracer, which rebinds it in
 # every spectral consumer, finds it; spectra come from spectral_record.
 from .signal import (DEFAULT_HOP, DEFAULT_N_FFT,  # noqa: F401
-                     DEFAULT_SAMPLE_RATE, read_checkpoint, spectral_record,
-                     stft, write_checkpoint)
+                     DEFAULT_SAMPLE_RATE, _stft_frames, read_checkpoint,
+                     spectral_record, stft, write_checkpoint)
 
 DEFAULT_FRAME_LEN = 64
 DEFAULT_HIDDEN = (128, 128, 128)
@@ -84,10 +84,7 @@ class VelocityNet:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     @classmethod
     def create(cls, seed: int = 0, *, hidden_dims=DEFAULT_HIDDEN,
@@ -118,8 +115,7 @@ def embed_enrollment(e, net: VelocityNet) -> np.ndarray:
 def _forward(net: VelocityNet, rows: np.ndarray, outs=None):
     """Forward pass over a batch of rows; returns (out, activations).
     Layer i writes its output into `outs[i]` if given, else a new array."""
-    acts = [rows]
-    h = rows
+    h, acts = rows, [rows]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = np.matmul(h, w.T, out=None if outs is None else outs[i])
@@ -380,8 +376,7 @@ class AdamW:
     def step(self, params: list, grads: list, lr: float) -> None:
         """One update; each gradient has its parameter's shape and dtype."""
         self.t += 1
-        bc1 = 1.0 - ADAM_B1 ** self.t
-        bc2 = 1.0 - ADAM_B2 ** self.t
+        bc1, bc2 = 1.0 - ADAM_B1 ** self.t, 1.0 - ADAM_B2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.ndim >= 2 and self.weight_decay > 0:
                 p *= 1.0 - lr * self.weight_decay
@@ -506,6 +501,7 @@ def load_velnet(path) -> VelocityNet:
     raises FileFormatError. Tensors stay float32, so the loaded net
     computes in float32."""
     def shapes(m):  # (weight, bias) per layer, then the projection
+        _stft_frames(1, m["feat_n_fft"], m["feat_hop"])  # a framing stft runs
         dims, fl, tau, enroll = (m["dims"], m["frame_len"], m["tau_dim"],
                                  m["enroll_dim"])
         # a zero-width layer would let dims[0] be any size behind no bytes

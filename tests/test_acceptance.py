@@ -8,7 +8,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from adflow import cli, metrics, mrnet, sampler, velnet
 from adflow.flowpath import (PathParams, PathState, analytic_state,
@@ -18,8 +17,7 @@ from adflow.sampler import (NfePolicy, OracleField, NetField, Schedule,
                             build_schedule, extract, extract_adaptive,
                             fixed_mr, oracle_mr, regressor_mr)
 from adflow.signal import DatasetConfig, Waveform, istft, make_dataset, mix, stft
-from adflow.velnet import TrainConfig, VelocityNet, otcfm_loss_and_grad, \
-    train_velocity
+from adflow.velnet import TrainConfig, VelocityNet, otcfm_loss_and_grad
 
 
 def _report(number, name, ok, detail=""):
@@ -32,24 +30,6 @@ def _report(number, name, ok, detail=""):
 def _unit(rng, n):
     v = rng.standard_normal(n)
     return v / np.sqrt(np.mean(v ** 2))
-
-
-# ---------------------------------------------------------------------------
-# Shared trained system for criterion 6 (500 items, one training run)
-
-@pytest.fixture(scope="module")
-def trained_system():
-    t0 = time.time()
-    train = make_dataset(500, "uniform", DatasetConfig(duration_s=0.5), seed=0)
-    net = VelocityNet.create(0)
-    net, _ = train_velocity(net, train, TrainConfig(
-        lr_init=3e-3, lr_min=1e-4, warmup_epochs=5, t_max_epochs=75,
-        epochs=80, batch_size=32, seed=0))
-    reg = MrRegressor.create(17)
-    reg, _ = mr_train(reg, train, TrainConfig(
-        lr_init=1e-3, lr_min=1e-5, warmup_epochs=5, t_max_epochs=95,
-        weight_decay=0.05, epochs=100, batch_size=16, seed=0))
-    return net, reg, time.time() - t0
 
 
 def test_criterion_1_one_step_oracle_exactness():

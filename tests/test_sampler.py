@@ -230,7 +230,7 @@ def test_fixed_mr_validation():
         fixed_mr(1.5)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_budget_monotone_property(tau_hat):
     policy = NfePolicy(max_nfe=7)

@@ -253,7 +253,7 @@ def test_mix_rejects_bad_tau():
             mix(w, w, tau)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_mix_linearity(tau, seed):
@@ -817,6 +817,33 @@ def test_write_checkpoint_header_cap(tmp_path, past):
         assert back == meta and np.array_equal(t, np.ones(2))
         return
     with pytest.raises(ParameterError, match="above 4096"):
+        signal.write_checkpoint(path, "M", meta, [np.ones(2)])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf],
+                         ids=["past_f32_max", "past_f32_min", "nan", "inf"])
+def test_write_tensor_refuses_values_not_finite_in_float32(tmp_path, value):
+    # the reader refuses them, so the writer does, with no overflow warning
+    arr = np.array([1.0, value])
+    path = tmp_path / "t.adft"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="non-finite"):
+            write_tensor(path, arr)
+        with pytest.raises(ParameterError):
+            signal.write_checkpoint(tmp_path / "a.ckpt", "M", {"k": 1}, [arr])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("meta", [{"x": 1.5}, {"x": "a b"}, {"x": ""},
+                                  {"x y": 1}, {"x": "1,"}, {"x=y": 1}],
+                         ids=["float", "space", "empty", "key_space",
+                              "trailing_comma", "key_equals"])
+def test_write_checkpoint_refuses_header_read_checkpoint_refuses(tmp_path,
+                                                                 meta):
+    path = tmp_path / "a.ckpt"
+    with pytest.raises(ParameterError):
         signal.write_checkpoint(path, "M", meta, [np.ones(2)])
     assert list(tmp_path.iterdir()) == []
 
